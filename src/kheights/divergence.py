@@ -158,19 +158,3 @@ def _count_boundary(graph: Graph, bdry, k: int) -> int:
     rec(0, [])
     return count
 
-
-def rect_symmetry_distinct_pivots(graph: Graph, block: Block) -> tuple[int, int]:
-    """The two boundary positions of a 4x4 grid block not related by the
-    dihedral symmetry of the block.
-
-    The 16 boundary vertices form 4 paths of 4; the dihedral group of
-    the square has two orbits on them: end positions {0, 3} of each path
-    and middle positions {1, 2}.  With the block occupying columns
-    x..x+3 and rows y..y+3 of the torus, the representatives returned
-    are the first two vertices of the top path, (x, y-1) and (x+1, y-1).
-    """
-    g, h = graph.dims
-    x0 = block.vertices[0] % g
-    y0 = block.vertices[0] // g
-    idx = lambda x, y: (y % h) * g + (x % g)
-    return idx(x0, y0 - 1), idx(x0 + 1, y0 - 1)

@@ -3,9 +3,11 @@ constraints, admissible fillings and their exact (count, total weight)
 statistics via dynamic programming.
 
 All counts and weights are exact Python integers; expected weights are
-Fractions.  The DP strategies cover the block shapes used throughout:
-paths, cycles, and 4-wide grid blocks.  Anything else falls back to
-brute-force enumeration under a configurable cap.
+Fractions.  One layered transfer DP covers the block shapes used
+throughout: paths, cycles, and 4-wide grid blocks.  Anything else falls
+back to brute-force enumeration under a configurable cap.  This scalar
+DP is the oracle for the vectorized table engines in
+:mod:`kheights.tables`.
 """
 
 from __future__ import annotations
@@ -31,31 +33,27 @@ class EnumerationCapError(RuntimeError):
     """Raised when a brute-force path would exceed ENUMERATION_CAP."""
 
 
-@dataclass(frozen=True)
-class TransferMatrices:
-    """0/1 matrices over values {0..k}: P allows steps of at most 1,
-    Q steps of at most 2."""
+def step_matrix(a, b=None, span: int = 1, dtype=object) -> np.ndarray:
+    """0/1 matrix M[i, j] = 1 iff every coordinate of state a[i] lies
+    within `span` of the same coordinate of state b[j] (b defaults to a).
 
-    k: int
-
-    @property
-    def P(self) -> np.ndarray:
-        n = self.k + 1
-        i, j = np.indices((n, n))
-        return (np.abs(i - j) <= 1).astype(int).astype(object)
-
-    @property
-    def Q(self) -> np.ndarray:
-        n = self.k + 1
-        i, j = np.indices((n, n))
-        return (np.abs(i - j) <= 2).astype(int).astype(object)
+    A state is a value (1-D input) or a value vector (a row of a 2-D
+    input).  On the values {0..k}, span 1 gives the step matrix P of a
+    path and span 2 the corner-jump matrix Q; on the valid 4-rows of a
+    grid, span 1 gives the vertical compatibility matrix.  The default
+    object dtype holds Python integers, so matrix powers stay exact.
+    """
+    a = np.asarray(a).reshape(len(a), -1)
+    b = a if b is None else np.asarray(b).reshape(len(b), -1)
+    near = np.all(np.abs(a[:, None, :] - b[None, :, :]) <= span, axis=2)
+    return near.astype(np.int64).astype(dtype)
 
 
 def count_cycle_heights(k: int, length: int) -> int:
     """Number of k-heights of a cycle of the given length: tr(P^L)."""
     if length < 3:
         raise ValueError("cycle length must be >= 3")
-    P = TransferMatrices(k).P
+    P = step_matrix(np.arange(k + 1))
     return int(np.trace(np.linalg.matrix_power(P, length)))
 
 
@@ -63,7 +61,7 @@ def count_path_heights(k: int, length: int) -> int:
     """Number of k-heights of a path on `length` vertices: 1^T P^{L-1} 1."""
     if length < 1:
         raise ValueError("path needs at least one vertex")
-    P = TransferMatrices(k).P
+    P = step_matrix(np.arange(k + 1))
     ones = np.ones(k + 1, dtype=object)
     return int(ones @ np.linalg.matrix_power(P, length - 1) @ ones)
 
@@ -72,10 +70,11 @@ def count_rect_extensible(k: int) -> int:
     """Number of extensible boundary constraints of a 4x4 grid block.
 
     The boundary is a 16-cycle of alternating corner-jump/side steps;
-    extensibility reduces to the trace of (Q P^3)^4.
+    extensibility reduces to the trace of (P^3 Q)^4.
     """
-    tm = TransferMatrices(k)
-    M = np.linalg.matrix_power(tm.P, 3) @ tm.Q
+    vals = np.arange(k + 1)
+    P, Q = step_matrix(vals), step_matrix(vals, span=2)
+    M = np.linalg.matrix_power(P, 3) @ Q
     return int(np.trace(np.linalg.matrix_power(M, 4)))
 
 
@@ -83,44 +82,6 @@ def _allowed_sets(graph: Graph, block: Block,
                   constraint: BoundaryConstraint, k: int) -> list[list[int]]:
     """Sorted allowed-value lists per block vertex implied by the pins."""
     return [sorted(s) for s in constraint.allowed(graph, block, k)]
-
-
-def _shape_edges(block: Block) -> set[tuple[int, int]] | None:
-    """Internal edge set (as index pairs into block order) implied by the
-    declared shape, or None for brute force."""
-    m = len(block.vertices)
-    if block.shape == "path":
-        return {(i, i + 1) for i in range(m - 1)}
-    if block.shape == "cycle":
-        e = {(i, (i + 1) % m) for i in range(m)}
-        return {(min(a, b), max(a, b)) for a, b in e}
-    if block.shape == "grid":
-        if m % 4:
-            return None
-        edges = set()
-        for r in range(m // 4):
-            for c in range(4):
-                if c < 3:
-                    edges.add((4 * r + c, 4 * r + c + 1))
-                if r < m // 4 - 1:
-                    edges.add((4 * r + c, 4 * (r + 1) + c))
-        return edges
-    return None
-
-
-def check_shape(graph: Graph, block: Block) -> bool:
-    """True iff the block's declared shape matches its induced edges."""
-    want = _shape_edges(block)
-    if want is None:
-        return False
-    verts = block.vertices
-    have = {
-        (i, j)
-        for i in range(len(verts))
-        for j in range(i + 1, len(verts))
-        if graph.has_edge(verts[i], verts[j])
-    }
-    return have == want
 
 
 @dataclass(frozen=True)
@@ -141,72 +102,52 @@ class FillingStats:
         return self.count > 0
 
 
-def _path_dp(allowed: list[list[int]]) -> FillingStats:
-    # f[x] = (count, total weight) of prefixes ending in value x
-    f = {x: (1, x) for x in allowed[0]}
-    for vals in allowed[1:]:
+def _row_states(cells: list[list[int]]) -> list[tuple[int, ...]]:
+    """Value tuples of one grid row whose neighbours differ by <= 1."""
+    return [vec for vec in product(*cells)
+            if all(abs(a - b) <= 1 for a, b in zip(vec, vec[1:]))]
+
+
+def _layered_dp(layers: list[list[tuple[int, ...]]]) -> dict:
+    """Transfer DP over layers of states: maps each state s of the last
+    layer to the (count, total weight) of the fillings that end in s,
+    where a filling picks one state per layer and consecutive states
+    differ by at most 1 in every cell."""
+    f = {s: (1, sum(s)) for s in layers[0]}
+    for states in layers[1:]:
         g = {}
-        for y in vals:
+        for s in states:
             c = w = 0
-            for x, (cx, wx) in f.items():
-                if abs(x - y) <= 1:
-                    c += cx
-                    w += wx + y * cx
-            if c:
-                g[y] = (c, w)
-        f = g
-    return FillingStats(sum(c for c, _ in f.values()),
-                        sum(w for _, w in f.values()))
-
-
-def _cycle_dp(allowed: list[list[int]]) -> FillingStats:
-    count = weight = 0
-    for first in allowed[0]:
-        f = {first: (1, first)}
-        for vals in allowed[1:]:
-            g = {}
-            for y in vals:
-                c = w = 0
-                for x, (cx, wx) in f.items():
-                    if abs(x - y) <= 1:
-                        c += cx
-                        w += wx + y * cx
-                if c:
-                    g[y] = (c, w)
-            f = g
-        for x, (cx, wx) in f.items():
-            if abs(x - first) <= 1:
-                count += cx
-                weight += wx
-    return FillingStats(count, weight)
-
-
-def _grid_dp(allowed: list[list[int]]) -> FillingStats:
-    """Row-by-row DP over 4-wide rows; state = previous row vector."""
-    rows = [allowed[4 * r: 4 * r + 4] for r in range(len(allowed) // 4)]
-
-    def row_vectors(cells):
-        out = []
-        for vec in product(*cells):
-            if all(abs(vec[i] - vec[i + 1]) <= 1 for i in range(3)):
-                out.append(vec)
-        return out
-
-    f = {vec: (1, sum(vec)) for vec in row_vectors(rows[0])}
-    for cells in rows[1:]:
-        g = {}
-        for vec in row_vectors(cells):
-            c = w = 0
-            s = sum(vec)
-            for prev, (cp, wp) in f.items():
-                if all(abs(prev[i] - vec[i]) <= 1 for i in range(4)):
+            for prev in product(*[(x - 1, x, x + 1) for x in s]):
+                if prev in f:
+                    cp, wp = f[prev]
                     c += cp
-                    w += wp + s * cp
+                    w += wp
             if c:
-                g[vec] = (c, w)
+                g[s] = (c, w + c * sum(s))
         f = g
-    return FillingStats(sum(c for c, _ in f.values()),
-                        sum(w for _, w in f.values()))
+    return f
+
+
+def _transfer_stats(shape: str, allowed: list[list[int]]) -> FillingStats:
+    """Filling statistics of a path, a cycle (closed through its first
+    vertex) or a grid of 4-wide rows, by the layered DP."""
+    if shape == "grid":
+        layers = [_row_states(allowed[i: i + 4])
+                  for i in range(0, len(allowed), 4)]
+    else:
+        layers = [[(x,) for x in vals] for vals in allowed]
+    if shape != "cycle":
+        ends = _layered_dp(layers).values()
+        return FillingStats(sum(c for c, _ in ends), sum(w for _, w in ends))
+    # a cycle is the path DP started at a fixed first value and closed
+    count = weight = 0
+    for first in layers[0]:
+        for (last,), (c, w) in _layered_dp([[first]] + layers[1:]).items():
+            if abs(last - first[0]) <= 1:
+                count += c
+                weight += w
+    return FillingStats(count, weight)
 
 
 def _brute_stats(graph: Graph, block: Block,
@@ -239,19 +180,12 @@ def filling_stats(graph: Graph, block: Block,
     allowed = _allowed_sets(graph, block, constraint, k)
     if any(not a for a in allowed):
         return FillingStats(0, 0)
-    if block.shape == "path" and len(block.vertices) >= 1:
-        return _path_dp(allowed)
-    if block.shape == "cycle" and len(block.vertices) >= 3:
-        return _cycle_dp(allowed)
-    if block.shape == "grid" and len(block.vertices) % 4 == 0:
-        return _grid_dp(allowed)
+    m = len(block.vertices)
+    if ((block.shape == "path" and m >= 1)
+            or (block.shape == "cycle" and m >= 3)
+            or (block.shape == "grid" and m % 4 == 0)):
+        return _transfer_stats(block.shape, allowed)
     return _brute_stats(graph, block, allowed)
-
-
-def is_extensible(graph: Graph, block: Block,
-                  constraint: BoundaryConstraint, k: int) -> bool:
-    """True iff at least one admissible filling exists (DP feasibility)."""
-    return filling_stats(graph, block, constraint, k).count > 0
 
 
 def enumerate_fillings(graph: Graph, block: Block,

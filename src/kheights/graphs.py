@@ -42,8 +42,9 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n, edge_list, **kw) -> "Graph":
+        edge_list = list(edge_list)
         edges = frozenset((min(u, v), max(u, v)) for u, v in edge_list)
-        if len(edges) != len(list(edge_list)):
+        if len(edges) != len(edge_list):
             raise GraphError("duplicate edges")
         return cls(n=n, edges=edges, **kw)
 

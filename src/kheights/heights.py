@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Block, Graph
 
 
@@ -73,9 +71,6 @@ class KHeight:
             raise ValueError("k-heights on different graphs")
         if other.k != self.k:
             raise ValueError("k-heights with different k")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.values, dtype=np.int8)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,8 @@ from .enumeration import (
     EnumerationCapError,
     count_cycle_heights,
     count_path_heights,
+    count_rect_extensible,
+    step_matrix,
 )
 from .graphs import CaseTag, case_slots
 from .heights import BoundaryConstraint
@@ -32,10 +34,10 @@ from .heights import BoundaryConstraint
 # are re-checked exactly
 _PREFILTER_MARGIN = 1e-9
 
-
-def _step_matrix(k: int) -> np.ndarray:
-    i, j = np.indices((k + 1, k + 1))
-    return (np.abs(i - j) <= 1).astype(np.int64)
+#: entries of the two (t, t, t, t) float64 rect tensors together above
+#: which rect_stat_tensors refuses to allocate (2^28 entries = 2 GiB);
+#: k=4 needs 2 * 95^4 = 1.6e8, k=5 already 2 * 122^4 = 4.4e8
+RECT_TENSOR_CAP = 1 << 28
 
 
 def _axis_mask(P: np.ndarray, axis: int, m: int) -> np.ndarray:
@@ -59,7 +61,7 @@ def _case_tensors(tag: CaseTag, k: int, pivot_value: int):
     if K ** (m + 1) > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"case tensor of {K}^{m + 1} entries exceeds the cap")
-    P = _step_matrix(k)
+    P = step_matrix(np.arange(K), dtype=np.int64)
     labels0 = {l - 1 for l in tag.neighbor_labels}
     pins = [[a for a, bv in enumerate(slots) if bv == i] for i in range(d)]
     masks = [_axis_mask(P, a, m) for a in range(m)]
@@ -105,41 +107,46 @@ def _case_tensors(tag: CaseTag, k: int, pivot_value: int):
     return tot_c, tot_w
 
 
-def _maximize_gap(stats: list[tuple[np.ndarray, np.ndarray]]):
-    """Maximize E[w | pivot=x+1] - E[w | pivot=x] over pivot values x and
-    boundary-slot assignments.  Returns (Fraction, pivot value, slot-value
-    tuple); ties resolve to the lexicographically smallest
-    (slot tuple, pivot value)."""
-    k = len(stats) - 1
+def maximize_gap(pairs):
+    """Exact maximum of the expected-weight gap w_hi/c_hi - w_lo/c_lo.
+
+    `pairs` yields (key, (c_lo, w_lo), (c_hi, w_hi)): count and total
+    weight arrays, all of one shape, of the low and high side of a cover
+    pair at every index; an index counts only where both counts are
+    positive.  A float pass keeps the entries within _PREFILTER_MARGIN of
+    the running float maximum, holding one gap array at a time; each
+    survivor is re-checked with Fractions.  Returns (Fraction, key, index
+    tuple); ties resolve to the smallest (index, key).  Raises ValueError
+    when no index of any pair is extensible.
+    """
+    def floor(best):
+        return best - _PREFILTER_MARGIN * max(1.0, abs(best))
+
     best_f = -np.inf
-    per_pivot = []
-    for x in range(k):
-        c1, w1 = stats[x]
-        c2, w2 = stats[x + 1]
-        ok = (c1 > 0) & (c2 > 0)
+    kept = []  # (key, lo, hi, indices, float gaps) above the floor so far
+    for key, lo, hi in pairs:
+        (c1, w1), (c2, w2) = lo, hi
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.where(ok, w2 / c2 - w1 / c1, -np.inf)
-        per_pivot.append(gap)
+            gap = np.where((c1 > 0) & (c2 > 0), w2 / c2 - w1 / c1, -np.inf)
         mx = gap.max()
-        if mx > best_f:
-            best_f = mx
+        best_f = max(best_f, mx)
+        if mx > -np.inf and mx >= floor(best_f):
+            near = gap >= floor(best_f)
+            kept.append((key, lo, hi, np.argwhere(near), gap[near]))
+        del gap
     if best_f == -np.inf:
         raise ValueError("no extensible cover pair")
-    margin = _PREFILTER_MARGIN * max(1.0, abs(best_f))
-    cands = []
-    for x, gap in enumerate(per_pivot):
-        idx = np.argwhere(gap >= best_f - margin)
-        c1, w1 = stats[x]
-        c2, w2 = stats[x + 1]
-        for raw in idx:
-            j = tuple(int(t) for t in raw)
-            exact = Fraction(int(w2[j]), int(c2[j])) - Fraction(
-                int(w1[j]), int(c1[j]))
-            cands.append((exact, j, x))
-    best = max(c[0] for c in cands)
-    _, slot_vals, x = min(
-        (c for c in cands if c[0] == best), key=lambda c: (c[1], c[2]))
-    return best, x, slot_vals
+    # the floor only rises, so the survivors of the final floor are
+    # exactly the entries a pass over all gap arrays at once would keep
+    exact = [
+        (Fraction(int(w2[j]), int(c2[j])) - Fraction(int(w1[j]), int(c1[j])),
+         j, key)
+        for key, (c1, w1), (c2, w2), idx, g in kept
+        for j in map(tuple, idx[g >= floor(best_f)].tolist())
+    ]
+    best = max(e for e, _, _ in exact)
+    _, j, key = min(c for c in exact if c[0] == best)
+    return best, key, j
 
 
 def case_divergence(tag: CaseTag, k: int,
@@ -148,7 +155,8 @@ def case_divergence(tag: CaseTag, k: int,
     cover pairs pivoted at the external vertex."""
     d = tag.d
     stats = [_case_tensors(tag, k, p) for p in range(k + 1)]
-    e_max, x, slot_vals = _maximize_gap(stats)
+    e_max, x, slot_vals = maximize_gap(
+        (p, stats[p], stats[p + 1]) for p in range(k))
     m = len(case_slots(tag))
     if tag.kind == "type1":
         omega_block = count_cycle_heights(k, d)
@@ -227,25 +235,31 @@ def rect_stat_tensors(k: int):
     (top, left, right, bottom) boundary path sequences of a 4x4 block.
 
     Boundary paths and block rows share the same valid-sequence list of
-    length t.  All entries are integers below 2^53, hence exact.
+    length t.  All entries are integers below 2^53, hence exact.  Raises
+    EnumerationCapError, before allocating, when the two tensors would
+    hold more than RECT_TENSOR_CAP entries.
     """
     rows = _row_vectors(k)
     t = len(rows)
+    if 2 * t ** 4 > RECT_TENSOR_CAP:
+        raise EnumerationCapError(
+            f"rect tensors of 2 * {t}^4 entries exceed the cap "
+            f"{RECT_TENSOR_CAP}")
     rowsum = rows.sum(axis=1).astype(np.float64)
-    V = np.all(
-        np.abs(rows[:, None, :] - rows[None, :, :]) <= 1, axis=2
-    ).astype(np.float64)
-    # side masks: boundary sequence s pins block column cell at row i
-    A = [np.abs(rows[:, i][:, None] - rows[None, :, 0]) <= 1 for i in range(4)]
-    Bm = [np.abs(rows[:, i][:, None] - rows[None, :, 3]) <= 1 for i in range(4)]
-    A = [a.astype(np.float64) for a in A]
-    Bm = [b.astype(np.float64) for b in Bm]
-    full = V  # pointwise |s_j - vec_j| <= 1 is exactly vertical compatibility
+    # V[s, r]: row r may sit below row s; pointwise |s_j - r_j| <= 1 is
+    # also how the top and bottom boundary paths pin the outer rows
+    V = step_matrix(rows, dtype=np.float64)
+    # side masks: boundary sequence s pins the left (right) block column
+    # cell of row i
+    A = [step_matrix(rows[:, i], rows[:, 0], dtype=np.float64)
+         for i in range(4)]
+    Bm = [step_matrix(rows[:, i], rows[:, 3], dtype=np.float64)
+          for i in range(4)]
     S_cnt = np.empty((t, t, t, t), dtype=np.float64)
     S_wgt = np.empty((t, t, t, t), dtype=np.float64)
     for ti in range(t):
         # axes: (left seq, right seq, current row state)
-        cnt = full[ti][None, None, :] * A[0][:, None, :] * Bm[0][None, :, :]
+        cnt = V[ti][None, None, :] * A[0][:, None, :] * Bm[0][None, :, :]
         wgt = cnt * rowsum
         for i in range(1, 4):
             cnt = cnt @ V
@@ -253,155 +267,37 @@ def rect_stat_tensors(k: int):
             mask = A[i][:, None, :] * Bm[i][None, :, :]
             cnt = cnt * mask
             wgt = wgt * mask + cnt * rowsum
-        # close with the bottom path (pointwise pins on row 3 = `full`)
-        S_cnt[ti] = cnt @ full.T
-        S_wgt[ti] = wgt @ full.T
+        # close with the bottom path
+        S_cnt[ti] = cnt @ V.T
+        S_wgt[ti] = wgt @ V.T
     return rows, S_cnt, S_wgt
-
-
-def rect_pivot_values(k: int) -> list[Fraction]:
-    """E_{B,v} for the pivot at each of the 4 positions of one boundary
-    path (rotation makes the four paths equivalent)."""
-    rows, S_cnt, S_wgt = rect_stat_tensors(k)
-    return [_rect_maximize(rows, S_cnt, S_wgt, pos)[0] for pos in range(4)]
-
-
-def _rect_maximize(rows, S_cnt, S_wgt, pos: int):
-    """Maximize the gap for the pivot at position `pos` of the first
-    boundary path axis."""
-    t = len(rows)
-    index = {tuple(v): i for i, v in enumerate(rows)}
-    pairs = []
-    for i, v in enumerate(rows):
-        w = list(v)
-        w[pos] += 1
-        j = index.get(tuple(w))
-        if j is not None:
-            pairs.append((i, j))
-    best_f = -np.inf
-    cands = []
-    for i, j in pairs:
-        ok = (S_cnt[i] > 0) & (S_cnt[j] > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.where(ok, S_wgt[j] / S_cnt[j] - S_wgt[i] / S_cnt[i],
-                           -np.inf)
-        mx = gap.max()
-        if mx > best_f:
-            best_f = mx
-        cands.append((i, j, gap))
-    out = []
-    margin = _PREFILTER_MARGIN * max(1.0, abs(best_f))
-    for i, j, gap in cands:
-        for raw in np.argwhere(gap >= best_f - margin):
-            idx = tuple(int(x) for x in raw)
-            exact = Fraction(int(S_wgt[j][idx]), int(S_cnt[j][idx])) - \
-                Fraction(int(S_wgt[i][idx]), int(S_cnt[i][idx]))
-            out.append((exact, i, idx))
-    best = max(c[0] for c in out)
-    _, i, idx = min((c for c in out if c[0] == best),
-                    key=lambda c: (c[1], c[2]))
-    return best, i, idx
 
 
 def rect_divergence(k: int) -> DivergenceReport:
     """Full divergence maximization for the 4x4 block: maximum over the
-    two symmetry-distinct pivot positions (path end and path middle)."""
-    from .enumeration import count_rect_extensible
-
+    two symmetry-distinct pivot positions (path end and path middle) of
+    the top boundary path."""
     rows, S_cnt, S_wgt = rect_stat_tensors(k)
-    results = [_rect_maximize(rows, S_cnt, S_wgt, pos) for pos in (0, 1)]
-    e_max = max(r[0] for r in results)
+    index = {tuple(v): i for i, v in enumerate(rows)}
+
+    def pairs():
+        for pos in (0, 1):
+            for i, v in enumerate(rows):
+                w = list(v)
+                w[pos] += 1
+                j = index.get(tuple(w))
+                if j is not None:
+                    yield (pos, i), (S_cnt[i], S_wgt[i]), (S_cnt[j], S_wgt[j])
+
+    e_max, _, _ = maximize_gap(pairs())
+    V = step_matrix(rows)
+    ones = np.ones(len(rows), dtype=object)
     return DivergenceReport(
         k=k, case_id="rect4x4",
-        omega_block=_rect_omega_block(k),
+        omega_block=int(ones @ np.linalg.matrix_power(V, 3) @ ones),
         omega_boundary=count_rect_extensible(k),
         e_max=e_max, witness=None,
     )
-
-
-def _rect_omega_block(k: int) -> int:
-    rows = _row_vectors(k)
-    V = np.all(
-        np.abs(rows[:, None, :] - rows[None, :, :]) <= 1, axis=2
-    ).astype(object)
-    ones = np.ones(len(rows), dtype=object)
-    return int(ones @ np.linalg.matrix_power(V, 3) @ ones)
-
-
-def rect_witness_search(k: int, threshold: Fraction | float,
-                        seed: int = 0, max_restarts: int = 200,
-                        max_steps: int = 400):
-    """Randomized local search for a boundary cover pair whose expected
-    gap exceeds `threshold`; used where the full maximization is out of
-    reach.  Returns (gap, boundary assignment, pivot position) or None.
-
-    The state is the four boundary path sequences plus a pivot position;
-    moves bump a single boundary value by +-1 (keeping path validity).
-    """
-    from .graphs import make_toroidal_rect, rect_block_family, boundary
-    from .enumeration import filling_stats
-
-    rng = np.random.default_rng(seed)
-    graph = make_toroidal_rect(9, 9)
-    block = rect_block_family(graph).blocks[graph.dims[0] + 1]
-    bdry = sorted(boundary(graph, block))
-    g, h = graph.dims
-    x0, y0 = block.vertices[0] % g, block.vertices[0] // g
-    idx = lambda x, y: (y % h) * g + (x % g)
-    top = [idx(x0 + i, y0 - 1) for i in range(4)]
-    paths = [
-        top,
-        [idx(x0 + i, y0 + 4) for i in range(4)],
-        [idx(x0 - 1, y0 + i) for i in range(4)],
-        [idx(x0 + 4, y0 + i) for i in range(4)],
-    ]
-
-    def valid(assign):
-        for p in paths:
-            for a, b in zip(p, p[1:]):
-                if abs(assign[a] - assign[b]) > 1:
-                    return False
-        return True
-
-    def gap_of(assign, pivot):
-        if assign[pivot] >= k:
-            return None
-        lo = BoundaryConstraint(tuple(sorted(assign.items())))
-        hi_map = dict(assign)
-        hi_map[pivot] += 1
-        if not valid(hi_map):
-            return None
-        hi = BoundaryConstraint(tuple(sorted(hi_map.items())))
-        s1 = filling_stats(graph, block, lo, k)
-        s2 = filling_stats(graph, block, hi, k)
-        if not s1.extensible or not s2.extensible:
-            return None
-        return s2.expected_weight - s1.expected_weight
-
-    thr = Fraction(threshold).limit_denominator(10 ** 6) \
-        if not isinstance(threshold, Fraction) else threshold
-    for _ in range(max_restarts):
-        assign = {}
-        for p in paths:
-            x = int(rng.integers(0, k + 1))
-            for v in p:
-                assign[v] = x
-                x = int(np.clip(x + rng.integers(-1, 2), 0, k))
-        pivot = top[int(rng.integers(0, 2))]
-        cur = gap_of(assign, pivot)
-        for _ in range(max_steps):
-            if cur is not None and cur > thr:
-                return cur, dict(assign), pivot
-            v = bdry[int(rng.integers(0, len(bdry)))]
-            step = int(rng.choice([-1, 1]))
-            nxt = dict(assign)
-            nxt[v] = int(np.clip(nxt[v] + step, 0, k))
-            if nxt[v] == assign[v] or not valid(nxt):
-                continue
-            cand = gap_of(nxt, pivot)
-            if cand is not None and (cur is None or cand >= cur):
-                assign, cur = nxt, cand
-    return None
 
 
 # ---------------------------------------------------------------------------

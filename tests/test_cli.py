@@ -51,6 +51,8 @@ def test_tables_case_table_mismatch():
 
 def test_tables_cap_exit():
     assert main(["tables", "--id", "hex", "--k", "99"]) == 4
+    # the rect tensors at k=6 would need ~7.9 GB: refused before allocation
+    assert main(["tables", "--id", "rect", "--k", "6"]) == 4
 
 
 def test_bad_flag_exits_3():

@@ -5,24 +5,29 @@ import numpy as np
 import pytest
 
 from kheights.enumeration import (
-    TransferMatrices,
-    check_shape,
     count_cycle_heights,
     count_path_heights,
     count_rect_extensible,
     enumerate_boundary_constraints,
     enumerate_fillings,
     filling_stats,
+    step_matrix,
 )
 from kheights.graphs import Block, CaseTag, Graph, boundary, make_case_graph, make_toroidal_rect, rect_block_family
 from kheights.heights import BoundaryConstraint, enumerate_heights
 
 
 def test_transfer_matrices_small():
-    tm = TransferMatrices(2)
-    assert tm.P.tolist() == [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
-    assert tm.Q.tolist() == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
-    assert tm.P.dtype == object  # exact integer arithmetic
+    P = step_matrix(np.arange(3))
+    Q = step_matrix(np.arange(3), span=2)
+    assert P.tolist() == [[1, 1, 0], [1, 1, 1], [0, 1, 1]]
+    assert Q.tolist() == [[1, 1, 1], [1, 1, 1], [1, 1, 1]]
+    assert P.dtype == object  # exact integer arithmetic
+    # on value vectors: every coordinate within 1
+    rows = np.array([[0, 0], [0, 1], [2, 1]])
+    assert step_matrix(rows).tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+    assert step_matrix(rows[:, 1], rows[:, 0]).tolist() == [
+        [1, 1, 0], [1, 1, 1], [1, 1, 1]]
 
 
 def test_count_cycle_vs_enumeration():
@@ -62,17 +67,6 @@ def test_rect_extensible_matches_boundary_feasibility():
     assert feasible == count_rect_extensible(k)
 
 
-@pytest.mark.parametrize("shape,edges,n", [
-    ("path", [(0, 1), (1, 2), (2, 3)], 4),
-    ("cycle", [(0, 1), (1, 2), (2, 3), (0, 3)], 4),
-])
-def test_check_shape(shape, edges, n):
-    g = Graph.from_edges(n, edges)
-    assert check_shape(g, Block(vertices=tuple(range(n)), shape=shape))
-    other = "cycle" if shape == "path" else "path"
-    assert not check_shape(g, Block(vertices=tuple(range(n)), shape=other))
-
-
 def _brute(graph, block, constraint, k):
     fills = enumerate_fillings(graph, block, constraint, k)
     return len(fills), sum(sum(f) for f in fills)
@@ -85,9 +79,12 @@ def test_dp_matches_brute_force_on_cases():
         g, block, _v = make_case_graph(tag)
         bdry = sorted(boundary(g, block))
         for k in (1, 2):
-            for _ in range(8):
-                c = BoundaryConstraint(tuple(
+            # the unpinned block, then random pins
+            cons = [BoundaryConstraint(())] + [
+                BoundaryConstraint(tuple(
                     (u, rnd.randrange(k + 1)) for u in bdry))
+                for _ in range(8)]
+            for c in cons:
                 stats = filling_stats(g, block, c, k)
                 assert (stats.count, stats.total_weight) == _brute(
                     g, block, c, k)
@@ -98,12 +95,12 @@ def test_grid_dp_matches_brute_force():
     block = rect_block_family(g).blocks[0]
     bdry = sorted(boundary(g, block))
     rnd = random.Random(7)
-    k = 1
-    for _ in range(5):
-        vals = [(u, rnd.randrange(k + 1)) for u in bdry]
-        c = BoundaryConstraint(tuple(vals))
-        stats = filling_stats(g, block, c, k)
-        assert (stats.count, stats.total_weight) == _brute(g, block, c, k)
+    for k in (1, 2):
+        for _ in range(5):
+            vals = [(u, rnd.randrange(k + 1)) for u in bdry]
+            c = BoundaryConstraint(tuple(vals))
+            stats = filling_stats(g, block, c, k)
+            assert (stats.count, stats.total_weight) == _brute(g, block, c, k)
 
 
 def test_unconstrained_hex_block_stats():
@@ -144,7 +141,7 @@ def test_cycle_count_golden_hex_sequence():
 
 def test_matrix_power_object_exactness():
     # object dtype avoids int64 overflow for large powers
-    P = TransferMatrices(6).P
+    P = step_matrix(np.arange(7))
     M = np.linalg.matrix_power(P, 60)
     assert M.dtype == object
     assert int(np.trace(M)) > 2 ** 63

@@ -28,6 +28,13 @@ def test_graph_rejects_bad_edges():
         Graph(2, frozenset({(0, 5)}))
 
 
+def test_from_edges_accepts_a_generator():
+    g = Graph.from_edges(3, ((i, i + 1) for i in range(2)))
+    assert g.edges == {(0, 1), (1, 2)}
+    with pytest.raises(GraphError, match="duplicate"):
+        Graph.from_edges(3, (e for e in [(0, 1), (1, 0)]))
+
+
 def test_toroidal_rect_regularity():
     g = make_toroidal_rect(5, 4)
     assert g.n == 20

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kheights import _golden
 from kheights.divergence import block_divergence, round_half_even
@@ -10,6 +14,7 @@ from kheights.tables import (
     admissible_cases,
     case_divergence,
     hex_divergence,
+    maximize_gap,
     regular_aggregates,
     reproduce_table,
     type1_cases,
@@ -126,3 +131,54 @@ def test_rounding_direction_of_reports():
     # table text is round-half-even at 6 decimals
     rep = case_divergence(CaseTag("type1", (1,), 6), 2)
     assert rep.e_max_rounded() == round_half_even(Fraction(119, 149), 6)
+
+
+@st.composite
+def gap_pairs(draw):
+    """Cover-pair inputs of maximize_gap: small count/weight arrays of one
+    shape under distinct keys in shuffled order."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    keys = draw(st.permutations(range(draw(st.integers(1, 3)))))
+
+    def side():
+        return (draw(arrays(dtype, shape, elements=st.integers(0, 2))),
+                draw(arrays(dtype, shape, elements=st.integers(0, 9))))
+
+    return [(key, side(), side()) for key in keys]
+
+
+def _brute_max_gap(pairs):
+    gaps = [
+        (Fraction(int(w2[j]), int(c2[j])) - Fraction(int(w1[j]), int(c1[j])),
+         j, key)
+        for key, (c1, w1), (c2, w2) in pairs
+        for j in np.ndindex(c1.shape) if c1[j] > 0 and c2[j] > 0
+    ]
+    if not gaps:
+        return None
+    best = max(g for g, _, _ in gaps)
+    _, j, key = min(g for g in gaps if g[0] == best)
+    return best, key, j
+
+
+#: (count, weight) arrays of mean weight 0 and 1 at both indices
+_MEAN0 = (np.array([[1, 1]]), np.array([[0, 0]]))
+_MEAN1 = (np.array([[1, 1]]), np.array([[1, 1]]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_pairs())
+# no extensible pair: every low count is zero
+@example([(0, (np.zeros((1, 2)), np.ones((1, 2))), _MEAN1)])
+# gap 1 at index (0, 1) of key 0 and at both indices of key 1: the tie
+# resolves to the smallest index first, (0, 0) of key 1
+@example([(0, (np.array([[0, 1]]), np.array([[0, 0]])), _MEAN1),
+          (1, _MEAN0, _MEAN1)])
+def test_maximize_gap_matches_brute_force(pairs):
+    want = _brute_max_gap(pairs)
+    if want is None:
+        with pytest.raises(ValueError):
+            maximize_gap(iter(pairs))
+    else:
+        assert maximize_gap(iter(pairs)) == want
