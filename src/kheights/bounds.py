@@ -34,6 +34,7 @@ from ._golden import (
     REGULAR_PUBLISHED_BOUND,
     REGULAR_PUBLISHED_C,
 )
+from .tables import hex_divergence, rect_divergence, regular_aggregates
 
 #: (b, m, m_check, s) per family; the regular families share one geometry:
 #: 8-fold face blocks plus face windows give 24 blocks through each vertex
@@ -146,14 +147,12 @@ def _grid_denominator(m_check: int, s: int, e_max) -> Fraction:
     return Fraction(m_check - s * (Fraction(e_max) - 1), 2)
 
 
-def family_report(family: str, k: int, e_max: Fraction | None = None,
-                  aggregate: Fraction | None = None) -> dict:
+def family_report(family: str, k: int) -> dict:
     """Exact and published-track bound constants for one graph family.
 
-    For rect/hex, e_max is the exact maximal block divergence (computed
-    fresh if omitted — minutes for rect).  For the 3-regular families,
-    aggregate is the per-vertex membership-minus-divergence lower bound
-    (computed fresh from the case catalog if omitted).
+    For rect/hex the exact input is the maximal block divergence E_max;
+    for the 3-regular families it is the per-vertex
+    membership-minus-divergence aggregate of the case catalog.
 
     The published track reruns the same pipeline from the 6-decimal
     intermediates used in the published derivations; each intermediate
@@ -168,10 +167,8 @@ def family_report(family: str, k: int, e_max: Fraction | None = None,
               "m_check": m_check, "s": s}
 
     if family in ("rect", "hex"):
-        if e_max is None:
-            from .tables import hex_divergence, rect_divergence
-            rep = rect_divergence(k) if family == "rect" else hex_divergence(k)
-            e_max = rep.e_max
+        rep = rect_divergence(k) if family == "rect" else hex_divergence(k)
+        e_max = rep.e_max
         report["e_max"] = e_max
         report["certificate"] = e_max < 2
         denom = _grid_denominator(m_check, s, e_max)
@@ -207,9 +204,7 @@ def family_report(family: str, k: int, e_max: Fraction | None = None,
     # 3-regular families: the denominator comes from the aggregate bound
     connectivity = {"regular2": "two", "regular3": "three",
                     "dual4": "dual4"}[family]
-    if aggregate is None:
-        from .tables import regular_aggregates
-        aggregate = regular_aggregates(connectivity, k)["bound"]
+    aggregate = regular_aggregates(connectivity, k)["bound"]
     report["aggregate_exact"] = aggregate
     report["certificate"] = aggregate > 0
     denom = Fraction(aggregate, 2)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .enumeration import enumerate_fillings, enumerate_heights
 from .graphs import BlockFamily, Graph
-from .heights import BoundaryConstraint, KHeight, is_valid
+from .heights import BoundaryConstraint, KHeight
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -26,51 +26,61 @@ def make_rng(seed: int) -> np.random.Generator:
 
 @dataclass
 class ChainState:
-    current: KHeight
+    """A chain's position as a plain value list; `current` wraps it in a
+    validated KHeight for callers outside the hot loop."""
+
+    graph: Graph
+    k: int
+    values: list[int]
     rng: np.random.Generator
     step_count: int = 0
-    debug_validate: bool = False
 
-    def _set(self, height: KHeight):
-        if self.debug_validate and not is_valid(
-                height.graph, height.values, height.k):
-            raise AssertionError("chain produced an invalid k-height")
-        self.current = height
-        self.step_count += 1
+    @property
+    def current(self) -> KHeight:
+        return KHeight(self.graph, self.k, tuple(self.values))
 
 
 def make_chain(graph: Graph, k: int, seed: int,
                start: KHeight | None = None) -> ChainState:
     if start is None:
         start = KHeight.constant(graph, k, 0)
-    return ChainState(current=start, rng=make_rng(seed))
+    return ChainState(start.graph, start.k, list(start.values),
+                      make_rng(seed))
+
+
+def updown_result(values: list[int], adj, k: int, v: int,
+                  delta: int) -> bool:
+    """The up/down move rule: set values[v] += delta in place iff the
+    result is still a k-height (given that values is one); return
+    whether it moved.  adj is graph.adjacency()."""
+    new = values[v] + delta
+    if not 0 <= new <= k:
+        return False
+    for u in adj[v]:
+        if abs(values[u] - new) > 1:
+            return False
+    values[v] = new
+    return True
+
+
+def updown_draws(rng: np.random.Generator, n: int) -> tuple[int, int, bool]:
+    """The draws of one lazy up/down step in their fixed order: vertex
+    uniform over range(n), offset sign (0 -> -1, 1 -> +1), then p
+    uniform in [0,1).  Returns (vertex, offset, p <= 1/2)."""
+    v = int(rng.integers(n))
+    delta = 1 if int(rng.integers(2)) else -1
+    return v, delta, float(rng.random()) <= 0.5
 
 
 def step_updown(state: ChainState) -> ChainState:
-    """One lazy up/down transition.
-
-    Draw order: vertex v uniform over V, offset sign (0 -> -1, 1 -> +1),
-    then p uniform in [0,1).  The move applies iff the result is a valid
-    k-height and p <= 1/2.
-    """
-    x = state.current
-    v = int(state.rng.integers(x.graph.n))
-    delta = 1 if int(state.rng.integers(2)) else -1
-    p = float(state.rng.random())
-    nxt = updown_result(x, v, delta, p)
-    state._set(nxt)
+    """One lazy up/down transition: the draws of updown_draws, then the
+    move iff p <= 1/2 and the result is a valid k-height."""
+    v, delta, move = updown_draws(state.rng, state.graph.n)
+    if move:
+        updown_result(state.values, state.graph.adjacency(), state.k, v,
+                      delta)
+    state.step_count += 1
     return state
-
-
-def updown_result(x: KHeight, v: int, delta: int, p: float) -> KHeight:
-    """Deterministic outcome of an up/down step given the three draws."""
-    new = x.values[v] + delta
-    if p > 0.5 or not 0 <= new <= x.k:
-        return x
-    for u in x.graph.adjacency()[v]:
-        if abs(x.values[u] - new) > 1:
-            return x
-    return x.with_value(v, new)
 
 
 class BlockSampler:
@@ -97,15 +107,15 @@ class BlockSampler:
         """Block index for a draw r uniform in [0, total multiplicity)."""
         return int(np.searchsorted(self._cum, r, side="right"))
 
-    def fillings_for(self, block_idx: int, height: KHeight):
-        bvals = tuple(height.values[u] for u in self._bdry[block_idx])
+    def fillings_for(self, block_idx: int, values):
+        """Admissible fillings of the block under the boundary values."""
+        bvals = tuple(values[u] for u in self._bdry[block_idx])
         return self._fillings(block_idx, bvals)
 
-    def apply(self, height: KHeight, block_idx: int, filling) -> KHeight:
-        vals = list(height.values)
+    def apply(self, values: list[int], block_idx: int, filling) -> None:
+        """Write the filling into the block's vertices of values."""
         for v, x in zip(self.family.blocks[block_idx].vertices, filling):
-            vals[v] = x
-        return KHeight(height.graph, height.k, tuple(vals))
+            values[v] = x
 
 
 def step_block(state: ChainState, sampler: BlockSampler) -> ChainState:
@@ -115,16 +125,13 @@ def step_block(state: ChainState, sampler: BlockSampler) -> ChainState:
     uniform over the admissible fillings, then p.  The filling replaces
     the block iff p <= 1/2.
     """
-    x = state.current
     r = int(state.rng.integers(sampler.family.total_count))
     b = sampler.pick_block(r)
-    fillings = sampler.fillings_for(b, x)
+    fillings = sampler.fillings_for(b, state.values)
     idx = int(state.rng.integers(len(fillings)))
-    p = float(state.rng.random())
-    if p <= 0.5:
-        state._set(sampler.apply(x, b, fillings[idx]))
-    else:
-        state._set(x)
+    if float(state.rng.random()) <= 0.5:
+        sampler.apply(state.values, b, fillings[idx])
+    state.step_count += 1
     return state
 
 
@@ -185,12 +192,12 @@ def transition_matrix_block(graph: Graph, k: int, family: BlockFamily):
     sampler = BlockSampler(graph, family, k)
     total = family.total_count
     for i, s in enumerate(states):
-        h = KHeight(graph, k, s)
         T[i][i] += Fraction(1, 2)  # p > 1/2 holds
         for bi, block in enumerate(family.blocks):
-            fillings = sampler.fillings_for(bi, h)
+            fillings = sampler.fillings_for(bi, s)
             w = Fraction(block.multiplicity, 2 * total * len(fillings))
             for f in fillings:
-                j = index[sampler.apply(h, bi, f).values]
-                T[i][j] += w
+                t = list(s)
+                sampler.apply(t, bi, f)
+                T[i][index[tuple(t)]] += w
     return states, T

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__, _golden
 from .bounds import FAMILY_PARAMS, family_report, sci7, tau_bound
-from .chains import BlockSampler, make_chain, step_block, step_updown
+from .chains import BlockSampler, make_chain, run, step_block, step_updown
 from .coupling import cftp_sample, coupling_time_estimate
 from .enumeration import EnumerationCapError
 from .graphs import (
@@ -221,12 +221,11 @@ def cmd_run(args) -> int:
         stepper = lambda st: step_block(st, sampler)  # noqa: E731
     lines = [json.dumps({"provenance": _provenance(args.seed, graph),
                          "k": args.k, "chain": args.chain})]
-    emit = args.emit_every or args.steps
-    for i in range(args.steps):
-        stepper(state)
-        if (i + 1) % emit == 0 or i + 1 == args.steps:
-            lines.append(json.dumps({"step": state.step_count,
-                                     "values": list(state.current.values)}))
+    if args.steps > 0:
+        snaps = run(state, args.steps, stepper,
+                    emit_every=args.emit_every or args.steps)
+        lines += [json.dumps({"step": step, "values": list(h.values)})
+                  for step, h in snaps]
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -272,7 +271,7 @@ def cmd_heatmap(args) -> int:
     graph = Graph.from_json_dict(doc["graph"])
     k = doc["k"]
     values = doc["values"]
-    dims = doc["graph"].get("dims")
+    dims = graph.dims
     scale = args.scale
     if dims and args.out.endswith(".ppm"):
         g, h = dims

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .chains import BlockSampler, make_rng, updown_result
+from .chains import BlockSampler, make_rng, updown_draws, updown_result
 from .graphs import Graph
 from .heights import KHeight
 
@@ -160,30 +160,35 @@ def path_decompose(x: KHeight, y: KHeight) -> list[tuple[KHeight, KHeight]]:
 # coupled steps
 
 
-@dataclass
 class CoupledState:
-    low: KHeight
-    high: KHeight
-    rng: np.random.Generator
-    step_count: int = 0
+    """Two coupled trajectories as value lists; the constructor takes
+    KHeights and checks low <= high once."""
 
-    def __post_init__(self):
-        if not (self.low <= self.high):
+    def __init__(self, low: KHeight, high: KHeight,
+                 rng: np.random.Generator, step_count: int = 0):
+        if not (low <= high):
             raise ValueError("coupled state must satisfy low <= high")
+        self.graph = low.graph
+        self.k = low.k
+        self.low = list(low.values)
+        self.high = list(high.values)
+        self.rng = rng
+        self.step_count = step_count
 
     @property
     def coalesced(self) -> bool:
-        return self.low.values == self.high.values
+        return self.low == self.high
 
 
 def coupled_updown_step(coupled: CoupledState) -> CoupledState:
-    """Shared (v, offset, p) for both trajectories; each side accepts by
-    its own validity test.  Monotone in practice (verified by tests)."""
-    v = int(coupled.rng.integers(coupled.low.graph.n))
-    delta = 1 if int(coupled.rng.integers(2)) else -1
-    p = float(coupled.rng.random())
-    coupled.low = updown_result(coupled.low, v, delta, p)
-    coupled.high = updown_result(coupled.high, v, delta, p)
+    """Shared draws (chains.updown_draws) for both trajectories; each side
+    accepts by its own validity test.  Monotone in practice (verified by
+    tests)."""
+    v, delta, move = updown_draws(coupled.rng, coupled.graph.n)
+    if move:
+        adj = coupled.graph.adjacency()
+        updown_result(coupled.low, adj, coupled.k, v, delta)
+        updown_result(coupled.high, adj, coupled.k, v, delta)
     coupled.step_count += 1
     return coupled
 
@@ -205,11 +210,11 @@ def coupled_block_step(coupled: CoupledState,
         return coupled
     r = int(rng.integers(sampler.family.total_count))
     b = sampler.pick_block(r)
-    chain = [coupled.low] + [hi for _lo, hi in
-                             path_decompose(coupled.low, coupled.high)]
+    low = KHeight(coupled.graph, coupled.k, tuple(coupled.low))
+    high = KHeight(coupled.graph, coupled.k, tuple(coupled.high))
+    chain = [low.values] + [hi.values for _lo, hi in path_decompose(low, high)]
     fillings = [sampler.fillings_for(b, z) for z in chain]
-    f = fillings[0][int(rng.integers(len(fillings[0])))]
-    new_low = sampler.apply(chain[0], b, f)
+    f = f_low = fillings[0][int(rng.integers(len(fillings[0])))]
     for i in range(1, len(chain)):
         if fillings[i] == fillings[i - 1]:
             pass  # identical boundary constraints: reuse the filling
@@ -217,8 +222,8 @@ def coupled_block_step(coupled: CoupledState,
             joint = strassen_joint(fillings[i - 1], fillings[i])
             f = conditional_high_draw(
                 joint, f, int(rng.integers(len(fillings[i]))))
-    new_high = sampler.apply(chain[-1], b, f)
-    coupled.low, coupled.high = new_low, new_high
+    sampler.apply(coupled.low, b, f_low)
+    sampler.apply(coupled.high, b, f)
     coupled.step_count += 1
     return coupled
 
@@ -231,12 +236,15 @@ def expected_coupled_updown_distance(x: KHeight, y: KHeight) -> Fraction:
     their own validity test.
     """
     n = x.graph.n
+    adj = x.graph.adjacency()
     total = Fraction(1, 2) * x.delta(y)  # p > 1/2: both hold
     for v in range(n):
         for delta in (-1, 1):
-            nx = updown_result(x, v, delta, 0.0)
-            ny = updown_result(y, v, delta, 0.0)
-            total += Fraction(1, 4 * n) * nx.delta(ny)
+            nx, ny = list(x.values), list(y.values)
+            updown_result(nx, adj, x.k, v, delta)
+            updown_result(ny, adj, y.k, v, delta)
+            total += Fraction(1, 4 * n) * sum(
+                abs(a - b) for a, b in zip(nx, ny))
     return total
 
 
@@ -259,31 +267,27 @@ def cftp_sample(graph: Graph, k: int, seed: int,
     adj = graph.adjacency()
     segments = []  # epoch e covers time slots [-2^e, -2^(e-1))
 
-    def epoch_arrays(e: int, length: int):
+    def epoch_lists(e: int, length: int):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(seed, e))))
         return (
-            rng.integers(0, n, size=length, dtype=np.int64),
-            rng.integers(0, 2, size=length, dtype=np.int64),
-            rng.random(size=length) <= 0.5,
+            rng.integers(0, n, size=length, dtype=np.int64).tolist(),
+            rng.integers(0, 2, size=length, dtype=np.int64).tolist(),
+            (rng.random(size=length) <= 0.5).tolist(),
         )
 
     for e in range(epoch_cap):
         length = 1 if e == 0 else 1 << (e - 1)
-        segments.append(epoch_arrays(e, length))
+        segments.append(epoch_lists(e, length))
         lo = [0] * n
         hi = [k] * n
         # oldest randomness first: epoch e covers the earliest slots
         for vs, ds, acc in reversed(segments):
             for v, d, a in zip(vs, ds, acc):
-                if not a:
-                    continue
-                step = 1 if d else -1
-                for vals in (lo, hi):
-                    new = vals[v] + step
-                    if 0 <= new <= k and all(
-                            abs(vals[u] - new) <= 1 for u in adj[v]):
-                        vals[v] = new
+                if a:
+                    delta = 1 if d else -1
+                    updown_result(lo, adj, k, v, delta)
+                    updown_result(hi, adj, k, v, delta)
         if lo == hi:
             return KHeight(graph, k, tuple(lo))
     raise RuntimeError(

@@ -64,21 +64,26 @@ class Graph:
     def degree(self, v) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def to_json_dict(self, blocks=None) -> dict:
+    def to_json_dict(self) -> dict:
         d = {"n": self.n, "edges": sorted(map(list, self.edges))}
-        if blocks is not None:
-            d["blocks"] = [
-                {"vertices": list(b.vertices), "multiplicity": b.multiplicity}
-                for b in blocks
-            ]
+        if self.kind is not None:
+            d["kind"] = self.kind
+        if self.dims is not None:
+            d["dims"] = list(self.dims)
         return d
 
     @classmethod
     def from_json_dict(cls, d) -> "Graph":
-        return cls.from_edges(d["n"], [tuple(e) for e in d["edges"]])
+        dims = d.get("dims")
+        return cls.from_edges(d["n"], [tuple(e) for e in d["edges"]],
+                              kind=d.get("kind"),
+                              dims=tuple(dims) if dims else None)
 
     def content_hash(self) -> str:
-        payload = json.dumps(self.to_json_dict(), sort_keys=True).encode()
+        """Hash of n and the edges only (kind and dims are left out)."""
+        payload = json.dumps({"n": self.n,
+                              "edges": sorted(map(list, self.edges))},
+                             sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 

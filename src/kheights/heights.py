@@ -95,11 +95,13 @@ class BoundaryConstraint:
         by the boundary: the intersection of [c-1, c+1] over adjacent
         boundary values c, clipped to [0, k]."""
         fixed = self.as_dict()
+        adj = graph.adjacency()
         out = []
         for bv in block.vertices:
             lo, hi = 0, k
-            for u, val in fixed.items():
-                if graph.has_edge(bv, u):
+            for u in adj[bv]:
+                val = fixed.get(u)
+                if val is not None:
                     lo = max(lo, val - 1)
                     hi = min(hi, val + 1)
             out.append(frozenset(range(lo, hi + 1)) if lo <= hi else frozenset())

@@ -13,7 +13,9 @@ tensors are themselves exact).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -149,10 +151,11 @@ def maximize_gap(pairs):
     return best, key, j
 
 
-def case_divergence(tag: CaseTag, k: int,
-                    case_id: str | None = None) -> DivergenceReport:
+@cache
+def case_divergence(tag: CaseTag, k: int) -> DivergenceReport:
     """Block divergence of a catalog case, maximized over all boundary
-    cover pairs pivoted at the external vertex."""
+    cover pairs pivoted at the external vertex.  Memoised on (tag, k):
+    the aggregates and tables ask for the same cases many times."""
     d = tag.d
     stats = [_case_tensors(tag, k, p) for p in range(k + 1)]
     e_max, x, slot_vals = maximize_gap(
@@ -169,7 +172,7 @@ def case_divergence(tag: CaseTag, k: int,
         d,
     )
     return DivergenceReport(
-        k=k, case_id=case_id or str(tag), omega_block=omega_block,
+        k=k, case_id=str(tag), omega_block=omega_block,
         omega_boundary=(k + 1) ** (m + 1), e_max=e_max, witness=witness,
     )
 
@@ -181,8 +184,8 @@ def hex_divergence(k: int) -> DivergenceReport:
     vertex and the pivot adjacent to a single block vertex, so the case
     engine applies verbatim.
     """
-    rep = case_divergence(CaseTag("type1", (1,), 6), k, case_id="hex")
-    return rep
+    return replace(case_divergence(CaseTag("type1", (1,), 6), k),
+                   case_id="hex")
 
 
 def type1_cases() -> list[tuple[int, tuple[int, ...]]]:
@@ -332,8 +335,7 @@ def admissible_cases(connectivity: str):
     raise ValueError(f"unknown connectivity class {connectivity!r}")
 
 
-def regular_aggregates(connectivity: str, k: int,
-                       divergences: dict | None = None) -> dict:
+def regular_aggregates(connectivity: str, k: int) -> dict:
     """Per-vertex membership-minus-divergence lower bound for the block
     family of a 3-regular planar graph (all faces of degree <= 10 as
     8-fold blocks plus 8-vertex windows of larger faces).
@@ -348,13 +350,10 @@ def regular_aggregates(connectivity: str, k: int,
         raise ValueError("aggregate tables exist for k in {2, 3} only")
     if connectivity == "two" and k != 2:
         raise ValueError("the 2-connected aggregate is stated for k=2 only")
-    cases = admissible_cases(connectivity)
-    if divergences is None:
-        divergences = compute_case_divergences(k, cases)
     e_star = None
     e_star_case = None
-    for kind, d, labels in cases:
-        e = divergences[(kind, d, labels)]
+    for kind, d, labels in admissible_cases(connectivity):
+        e = case_divergence(CaseTag(kind, labels, d), k).e_max
         rate = (e - 1) / len(labels)
         if e_star is None or rate > e_star:
             e_star, e_star_case = rate, (kind, d, labels)
@@ -368,18 +367,8 @@ def regular_aggregates(connectivity: str, k: int,
     if connectivity == "two":
         report["bound"] = Fraction(24) - 30 * e_star
     else:
-        e_h = divergences.get(("type2", 8, (1,)))
-        if e_h is None:
-            e_h = case_divergence(CaseTag("type2", (1,)), k).e_max
+        e_h = case_divergence(CaseTag("type2", (1,)), k).e_max
         report["e_window_end"] = e_h
         report["bound"] = Fraction(24) - 6 * (e_h - 1) - 24 * e_star
     return report
 
-
-def compute_case_divergences(k: int, cases) -> dict:
-    """Exact E_{B,v} per (kind, d, labels) case key."""
-    out = {}
-    for kind, d, labels in cases:
-        tag = CaseTag(kind, labels, d)
-        out[(kind, d, labels)] = case_divergence(tag, k).e_max
-    return out

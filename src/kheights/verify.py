@@ -10,6 +10,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from .chains import updown_result
 from .coupling import cftp_sample, expected_coupled_updown_distance, strassen_joint
 from .divergence import expected_gap
 from .enumeration import (
@@ -87,13 +88,9 @@ def _check_distance_bfs() -> tuple[bool, str]:
     for i, s in enumerate(states):
         for v in range(g.n):
             for d in (-1, 1):
-                w = s.values[v] + d
-                if 0 <= w <= k:
-                    t = s.with_value(v, w) if all(
-                        abs(s.values[u] - w) <= 1
-                        for u in g.adjacency()[v]) else None
-                    if t is not None:
-                        adjacency[i].append(index[t.values])
+                t = list(s.values)
+                if updown_result(t, g.adjacency(), k, v, d):
+                    adjacency[i].append(index[tuple(t)])
     for i, s in enumerate(states):
         dist = {i: 0}
         frontier = [i]

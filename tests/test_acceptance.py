@@ -45,10 +45,8 @@ from kheights.heights import (
 from kheights.tables import (
     admissible_cases,
     case_divergence,
-    compute_case_divergences,
     hex_divergence,
     rect_divergence,
-    regular_aggregates,
     type1_cases,
     type2_cases,
 )
@@ -223,22 +221,16 @@ def test_criterion_05_constant_pipeline():
                            f"{float(pub['e_max_bound'])} < exact "
                            f"{float(rep['e_max']):.6f}")
 
-    # the case catalogue is computed once per k and shared by every
-    # connectivity class that needs it
-    cases = {}
-    for conn, k in _golden.REGULAR_PUBLISHED_BOUND:
-        cases.setdefault(k, set()).update(admissible_cases(conn))
-    divergences = {k: compute_case_divergences(k, sorted(ks))
-                   for k, ks in cases.items()}
     family = {"two": "regular2", "three": "regular3", "dual4": "dual4"}
     for (conn, k), published in _golden.REGULAR_PUBLISHED_BOUND.items():
         name = f"{conn} k={k}"
-        exact = regular_aggregates(conn, k, divergences[k])["bound"]
+        rep = family_report(family[conn], k)
+        exact = rep["aggregate_exact"]
         from_rows = _aggregate_from_rows(conn, k)
         if abs(exact - from_rows) > _AGGREGATE_RADIUS:
             failures.append(f"{name} aggregate {float(exact):.6f} vs "
                             f"{float(from_rows):.6f} from the table rows")
-        pub = family_report(family[conn], k, aggregate=exact)["published"]
+        pub = rep["published"]
         _check_published_c(name, pub, failures)
         verdict = _row_verdict(from_rows - Fraction(published),
                                _AGGREGATE_RADIUS)
@@ -415,7 +407,7 @@ def test_criterion_10_monotonicity():
         for _ in range(2000):
             coupled_updown_step(st)
             updown_steps += 1
-            if not st.low <= st.high:
+            if not all(a <= b for a, b in zip(st.low, st.high)):
                 failures.append("up/down order violated")
                 break
     block_steps = 0
@@ -429,7 +421,7 @@ def test_criterion_10_monotonicity():
         for _ in range(500):
             coupled_block_step(st, sampler)
             block_steps += 1
-            if not st.low <= st.high:
+            if not all(a <= b for a, b in zip(st.low, st.high)):
                 failures.append("block order violated")
                 break
     _report(10, "coupled steps preserve order", failures,

@@ -16,11 +16,6 @@ from kheights.bounds import (
 )
 from kheights.graphs import Graph
 from kheights.heights import enumerate_heights
-from kheights.tables import (
-    admissible_cases,
-    compute_case_divergences,
-    regular_aggregates,
-)
 
 
 def test_bound_inputs_validation():
@@ -160,44 +155,25 @@ def test_family_report_rejects_unknown():
         family_report("octagon", 2)
 
 
-_CONNECTIVITY = {"regular2": "two", "regular3": "three", "dual4": "dual4"}
-_REGULAR_PAIRS = [("regular2", 2), ("regular3", 2), ("regular3", 3),
-                  ("dual4", 2), ("dual4", 3)]
-
-
-@pytest.fixture(scope="module")
-def regular_aggregate():
-    """Exact aggregate per (family, k) of _REGULAR_PAIRS, from one case
-    catalogue per k shared by every family that needs it."""
-    cases = {}
-    for fam, k in _REGULAR_PAIRS:
-        cases.setdefault(k, set()).update(admissible_cases(_CONNECTIVITY[fam]))
-    divergences = {k: compute_case_divergences(k, sorted(ks))
-                   for k, ks in cases.items()}
-    return {(fam, k): regular_aggregates(_CONNECTIVITY[fam], k,
-                                         divergences[k])["bound"]
-            for fam, k in _REGULAR_PAIRS}
-
-
-def test_family_report_regular_known_flags(regular_aggregate):
+def test_family_report_regular_known_flags():
     """The published aggregates match fresh exact data except for the two
     documented discrepancies (3-connected k=2 and dual k=2)."""
     expect_valid = {("regular2", 2): True, ("regular3", 2): False,
                     ("regular3", 3): True, ("dual4", 2): False,
                     ("dual4", 3): True}
     for (fam, k), want in expect_valid.items():
-        rep = family_report(fam, k, aggregate=regular_aggregate[fam, k])
+        rep = family_report(fam, k)
         assert rep["published"]["aggregate_valid"] is want, (fam, k)
         assert rep["certificate"]
 
 
-def test_published_c_reproduction_regular(regular_aggregate):
+def test_published_c_reproduction_regular():
     for fam, k, want in [("regular2", 2, "4.391132e+07"),
                          ("regular3", 2, "2.195097e+07"),
                          ("regular3", 3, "4.852027e+09"),
                          ("dual4", 2, "1.489256e+07"),
                          ("dual4", 3, "4.852027e+09")]:
-        rep = family_report(fam, k, aggregate=regular_aggregate[fam, k])
+        rep = family_report(fam, k)
         assert rep["published"]["c_from_published_aggregate"] == want
         assert rep["published"]["c"] == float(want.replace("e", "E"))
 

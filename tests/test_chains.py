@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies
+
+from conftest import small_graphs
 from kheights.chains import (
     BlockSampler,
     make_chain,
@@ -12,7 +15,7 @@ from kheights.chains import (
     updown_result,
 )
 from kheights.graphs import Graph, hex_block_family, make_toroidal_hex, singleton_family
-from kheights.heights import KHeight, enumerate_heights, is_valid
+from kheights.heights import enumerate_heights, is_valid
 
 
 def test_updown_matrix_single_vertex():
@@ -46,14 +49,36 @@ def test_block_matrix_uniform_stationary(path3):
 
 
 def test_updown_result_rules(path3):
-    x = KHeight(path3, 2, (1, 1, 1))
-    assert updown_result(x, 0, 1, 0.3).values == (2, 1, 1)
-    assert updown_result(x, 0, 1, 0.7).values == (1, 1, 1)  # lazy hold
-    y = KHeight(path3, 2, (0, 1, 2))
-    assert updown_result(y, 0, -1, 0.1).values == (0, 1, 2)  # below range
-    assert updown_result(y, 1, -1, 0.1).values == (0, 1, 2)  # would break edge
-    assert updown_result(y, 1, 1, 0.1).values == (0, 1, 2)  # breaks edge to 0
-    assert updown_result(y, 0, 1, 0.1).values == (1, 1, 2)
+    adj = path3.adjacency()
+    x = [1, 1, 1]
+    assert updown_result(x, adj, 2, 0, 1) and x == [2, 1, 1]
+    y = [0, 1, 2]
+    assert not updown_result(y, adj, 2, 0, -1)  # below range
+    assert not updown_result(y, adj, 2, 1, -1)  # would break edge
+    assert not updown_result(y, adj, 2, 1, 1)  # breaks edge to 0
+    assert y == [0, 1, 2]
+    assert updown_result(y, adj, 2, 0, 1) and y == [1, 1, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(strategies.data())
+def test_updown_result_matches_is_valid(data):
+    """The kernel moves exactly when the moved vector is a k-height and
+    leaves the list untouched otherwise."""
+    g = data.draw(strategies.sampled_from(small_graphs()))
+    k = data.draw(strategies.integers(0, 4))
+    heights = list(enumerate_heights(g, k))
+    start = data.draw(strategies.sampled_from(heights))
+    adj = g.adjacency()
+    for v in range(g.n):
+        for delta in (-1, 1):
+            moved = list(start)
+            moved[v] += delta
+            values = list(start)
+            if updown_result(values, adj, k, v, delta):
+                assert values == moved and is_valid(g, moved, k)
+            else:
+                assert values == list(start) and not is_valid(g, moved, k)
 
 
 def test_chain_determinism(path3):
@@ -70,22 +95,22 @@ def test_run_snapshots(path3):
     assert all(is_valid(path3, h.values, 2) for _, h in snaps)
 
 
-def test_chain_stays_valid_with_debug(path3):
+def test_chain_stays_valid_every_step(path3):
     st = make_chain(path3, 2, seed=7)
-    st.debug_validate = True
-    run(st, 2000)
-    assert is_valid(path3, st.current.values, 2)
+    for _ in range(2000):
+        step_updown(st)
+        assert is_valid(path3, st.current.values, 2)
 
 
 def test_block_sampler_uniform_fillings(path3):
     fam = singleton_family(path3)
     sampler = BlockSampler(path3, fam, 2)
-    h = KHeight(path3, 2, (0, 1, 2))
-    fills = sampler.fillings_for(1, h)
+    fills = sampler.fillings_for(1, [0, 1, 2])
     assert fills == [(1,)]
-    h2 = KHeight(path3, 2, (1, 1, 1))
+    h2 = [1, 1, 1]
     assert sampler.fillings_for(1, h2) == [(0,), (1,), (2,)]
-    assert sampler.apply(h2, 1, (2,)).values == (1, 2, 1)
+    sampler.apply(h2, 1, (2,))
+    assert h2 == [1, 2, 1]
 
 
 def test_block_chain_on_hex_graph():
@@ -93,9 +118,9 @@ def test_block_chain_on_hex_graph():
     fam = hex_block_family(g)
     sampler = BlockSampler(g, fam, 2)
     st = make_chain(g, 2, seed=3)
-    st.debug_validate = True
     for _ in range(300):
         step_block(st, sampler)
+        assert is_valid(g, st.current.values, 2)
     assert st.step_count == 300
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from kheights.chains import BlockSampler, make_rng
+from kheights.chains import BlockSampler, make_rng, updown_result
 from kheights.coupling import (
     CoupledState,
     DominanceError,
@@ -142,8 +142,9 @@ def test_coupled_updown_monotone(path3):
     )
     while not st.coalesced:
         coupled_updown_step(st)
-        assert st.low <= st.high
-    assert st.low.values == st.high.values
+        assert all(a <= b for a, b in zip(st.low, st.high))
+        assert is_valid(path3, st.low, 2) and is_valid(path3, st.high, 2)
+    assert st.low == st.high
 
 
 def test_coupled_state_requires_order(path3):
@@ -160,9 +161,9 @@ def test_coupled_block_step_monotone_and_valid():
                       high=KHeight.constant(g, k, k), rng=make_rng(5))
     for _ in range(400):
         coupled_block_step(st, sampler)
-        assert st.low <= st.high
-        assert is_valid(g, st.low.values, k)
-        assert is_valid(g, st.high.values, k)
+        assert all(a <= b for a, b in zip(st.low, st.high))
+        assert is_valid(g, st.low, k)
+        assert is_valid(g, st.high, k)
 
 
 def test_single_vertex_coalescence_time_is_two():
@@ -208,14 +209,17 @@ def test_one_step_distance_oracle_via_enumeration(path3):
     k = 2
     x = KHeight(path3, k, (0, 1, 1))
     y = KHeight(path3, k, (1, 1, 2))
-    from kheights.chains import updown_result
+    adj = path3.adjacency()
 
     total = Fraction(1, 2) * x.delta(y)
     n = path3.n
     for v in range(n):
         for d in (-1, 1):
-            total += Fraction(1, 4 * n) * updown_result(
-                x, v, d, 0.0).delta(updown_result(y, v, d, 0.0))
+            nx, ny = list(x.values), list(y.values)
+            updown_result(nx, adj, k, v, d)
+            updown_result(ny, adj, k, v, d)
+            total += Fraction(1, 4 * n) * KHeight(path3, k, tuple(nx)).delta(
+                KHeight(path3, k, tuple(ny)))
     assert expected_coupled_updown_distance(x, y) == total
 
 

@@ -61,6 +61,16 @@ def test_json_round_trip():
     g2 = Graph.from_json_dict(d)
     assert g2.n == g.n and g2.edges == g.edges
     assert g2.content_hash() == Graph.from_json_dict(d).content_hash()
+    # kind and dims survive, so a loaded grid keeps its block family
+    for g, family in [(make_toroidal_rect(8, 8), rect_block_family),
+                      (make_toroidal_hex(4, 4), hex_block_family)]:
+        g2 = Graph.from_json_dict(json.loads(json.dumps(g.to_json_dict())))
+        assert g2 == g
+        assert family(g2) == family(g)
+    # the hash covers n and the edges only, as it did before kind and
+    # dims were written out, so recorded graph_hash values still match
+    assert make_toroidal_rect(8, 8).content_hash() == "7aeac638d07dccc9"
+    assert make_toroidal_hex(4, 4).content_hash() == "5aeda2a80720d2d9"
 
 
 def test_content_hash_distinguishes():
