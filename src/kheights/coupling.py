@@ -9,14 +9,17 @@ integer draws only, so trajectories are exactly reproducible.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
 from .chains import BlockSampler, make_rng, updown_draws, updown_result
+from .enumeration import EnumerationCapError
 from .graphs import Graph
 from .heights import KHeight
 
@@ -77,36 +80,22 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
         if any(a > b for a, b in zip(lo, hi)):
             raise DominanceError("singleton pair not comparable")
         return JointCoupling(((lo, hi, Fraction(1)),), 1, 1)
-    # nodes: 0 = source, 1..L = low, L+1..L+H = high, L+H+1 = sink
+    # nodes: 0 = source, 1..L = low, L+1..L+H = high, L+H+1 = sink;
+    # comparability edges come in (i, j) order
     n = L + H + 2
-    rows, cols, caps = [], [], []
-    for i in range(L):
-        rows.append(0)
-        cols.append(1 + i)
-        caps.append(H)
-    for j in range(H):
-        rows.append(1 + L + j)
-        cols.append(n - 1)
-        caps.append(L)
-    for i, lo in enumerate(low_set):
-        for j, hi in enumerate(high_set):
-            if all(a <= b for a, b in zip(lo, hi)):
-                rows.append(1 + i)
-                cols.append(1 + L + j)
-                caps.append(H)
+    lo, hi = np.array(low_set), np.array(high_set)
+    i, j = np.nonzero(np.all(lo[:, None, :] <= hi[None, :, :], axis=2))
+    rows = np.concatenate([np.zeros(L, int), 1 + L + np.arange(H), 1 + i])
+    cols = np.concatenate([1 + np.arange(L), np.full(H, n - 1), 1 + L + j])
+    caps = np.concatenate([np.full(L, H), np.full(H, L), np.full(len(i), H)])
     graph = csr_matrix((caps, (rows, cols)), shape=(n, n), dtype=np.int32)
     result = maximum_flow(graph, 0, n - 1)
     if result.flow_value != denom:
         raise DominanceError(
             f"max flow {result.flow_value} < {denom}: dominance fails")
-    flow = result.flow
-    support = []
-    coo = flow.tocoo()
-    for u, v, f in zip(coo.row, coo.col, coo.data):
-        if f > 0 and 1 <= u <= L and L < v < n - 1:
-            support.append(
-                (low_set[u - 1], high_set[v - L - 1], Fraction(int(f), denom)))
-    support.sort(key=lambda t: (t[0], t[1]))
+    flow = np.asarray(result.flow[1 + i, 1 + L + j]).ravel()
+    support = sorted((low_set[a], high_set[b], Fraction(int(f), denom))
+                     for a, b, f in zip(i, j, flow) if f > 0)
     return JointCoupling(tuple(support), L, H)
 
 
@@ -252,14 +241,26 @@ def expected_coupled_updown_distance(x: KHeight, y: KHeight) -> Fraction:
 # coupling from the past
 
 
-def cftp_sample(graph: Graph, k: int, seed: int,
-                epoch_cap: int = 40) -> KHeight:
+#: time slots cftp_sample may store before it gives up: 6 bytes each (an
+#: int32 vertex, an int8 sign and an int8 move flag), 192 MiB at the cap,
+#: plus ~16 bytes a slot while an epoch is drawn (256 MiB for the last);
+#: rect:128x128 at k=3 coalesced at the cap with seed 0
+CFTP_MAX_SLOTS = 1 << 25
+
+#: coupled steps per coalescence trial before coupling_time_estimate
+#: gives up; a trial stores nothing per step, so this bounds time only
+COALESCENCE_MAX_STEPS = 10 ** 7
+
+
+def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
     """Exact uniform sample over the k-heights of a connected graph.
 
     Monotone grand coupling of the up/down chain run from the all-zero
     and all-k states, from time -T to 0 with T doubling per epoch; the
     randomness of each time slot is fixed once and reused by every
     epoch (slot arrays are keyed by the epoch that created them).
+    Raises EnumerationCapError before drawing an epoch that would store
+    more than CFTP_MAX_SLOTS slots.
     """
     if k == 0:
         return KHeight.constant(graph, k, 0)
@@ -267,18 +268,20 @@ def cftp_sample(graph: Graph, k: int, seed: int,
     adj = graph.adjacency()
     segments = []  # epoch e covers time slots [-2^e, -2^(e-1))
 
-    def epoch_lists(e: int, length: int):
+    def epoch_slots(e: int, length: int):
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=(seed, e))))
-        return (
-            rng.integers(0, n, size=length, dtype=np.int64).tolist(),
-            rng.integers(0, 2, size=length, dtype=np.int64).tolist(),
-            (rng.random(size=length) <= 0.5).tolist(),
-        )
+        vs = rng.integers(0, n, size=length, dtype=np.int64).astype(np.int32)
+        ds = rng.integers(0, 2, size=length, dtype=np.int64).astype(np.int8)
+        acc = rng.random(size=length) <= 0.5
+        return [array(c, a.tobytes()) for c, a in zip("ibb", (vs, ds, acc))]
 
-    for e in range(epoch_cap):
+    for e in count():
+        if 1 << e > CFTP_MAX_SLOTS:
+            raise EnumerationCapError(
+                f"no coalescence within {CFTP_MAX_SLOTS} steps")
         length = 1 if e == 0 else 1 << (e - 1)
-        segments.append(epoch_lists(e, length))
+        segments.append(epoch_slots(e, length))
         lo = [0] * n
         hi = [k] * n
         # oldest randomness first: epoch e covers the earliest slots
@@ -290,9 +293,6 @@ def cftp_sample(graph: Graph, k: int, seed: int,
                     updown_result(hi, adj, k, v, delta)
         if lo == hi:
             return KHeight(graph, k, tuple(lo))
-    raise RuntimeError(
-        f"no coalescence within 2^{epoch_cap - 1} steps; "
-        "raise epoch_cap or check connectivity")
 
 
 # ---------------------------------------------------------------------------
@@ -301,9 +301,10 @@ def cftp_sample(graph: Graph, k: int, seed: int,
 
 def coupling_time_estimate(graph: Graph, k: int, mode: str = "updown",
                            trials: int = 100, seed: int = 0,
-                           family=None, max_steps: int = 10 ** 7) -> dict:
+                           family=None) -> dict:
     """Coalescence-time statistics of the monotone coupling started from
-    (bottom, top).  Deterministic given the seed."""
+    (bottom, top).  Deterministic given the seed.  Raises
+    EnumerationCapError when a trial reaches COALESCENCE_MAX_STEPS."""
     times = []
     sampler = None
     if mode == "block":
@@ -318,8 +319,9 @@ def coupling_time_estimate(graph: Graph, k: int, mode: str = "updown",
                 entropy=(seed, t)).generate_state(1)[0].item()),
         )
         while not coupled.coalesced:
-            if coupled.step_count >= max_steps:
-                raise RuntimeError("coalescence cap exceeded")
+            if coupled.step_count >= COALESCENCE_MAX_STEPS:
+                raise EnumerationCapError(f"no coalescence within "
+                                          f"{COALESCENCE_MAX_STEPS} steps")
             if mode == "updown":
                 coupled_updown_step(coupled)
             else:

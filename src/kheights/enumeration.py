@@ -30,7 +30,7 @@ ENUMERATION_CAP = 1 << 26
 
 
 class EnumerationCapError(RuntimeError):
-    """Raised when a brute-force path would exceed ENUMERATION_CAP."""
+    """Raised before a computation would exceed a size cap (exit 4)."""
 
 
 def step_matrix(a, b=None, span: int = 1, dtype=object) -> np.ndarray:
@@ -102,7 +102,7 @@ class FillingStats:
         return self.count > 0
 
 
-def _row_states(cells: list[list[int]]) -> list[tuple[int, ...]]:
+def row_states(cells: list[list[int]]) -> list[tuple[int, ...]]:
     """Value tuples of one grid row whose neighbours differ by <= 1."""
     return [vec for vec in product(*cells)
             if all(abs(a - b) <= 1 for a, b in zip(vec, vec[1:]))]
@@ -133,7 +133,7 @@ def _transfer_stats(shape: str, allowed: list[list[int]]) -> FillingStats:
     """Filling statistics of a path, a cycle (closed through its first
     vertex) or a grid of 4-wide rows, by the layered DP."""
     if shape == "grid":
-        layers = [_row_states(allowed[i: i + 4])
+        layers = [row_states(allowed[i: i + 4])
                   for i in range(0, len(allowed), 4)]
     else:
         layers = [[(x,) for x in vals] for vals in allowed]

@@ -2,17 +2,20 @@
 boundary-constraint space for the case catalog (paths/cycles with pinned
 boundary slots) and for 4x4 grid blocks.
 
-The engines compute, for every assignment of the non-pivot boundary
-vertices and every pivot value, the exact (count, total weight) of
-admissible fillings via tensor dynamic programming, then maximize the
-expected-weight gap over all extensible cover pairs.  Floats are used
-only as a prefilter; every candidate maximum is confirmed with exact
-integer arithmetic (all DP values stay far below 2^53, so the float
-tensors are themselves exact).
+One frontier DP (_frontier_dp) computes, for every assignment of the
+boundary vertices, the exact (count, total weight) of admissible
+fillings: the states are values for a case and valid 4-rows for the
+grid, and each boundary vertex is an axis that joins the tensor where
+it pins the block.  It runs in float64 and refuses (EnumerationCapError)
+any input whose entries it cannot bound below 2^53.  Then the
+expected-weight gap is maximized over all extensible cover pairs; floats
+are only a prefilter there, and every candidate maximum is confirmed
+with Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
@@ -27,6 +30,7 @@ from .enumeration import (
     count_cycle_heights,
     count_path_heights,
     count_rect_extensible,
+    row_states,
     step_matrix,
 )
 from .graphs import CaseTag, case_slots
@@ -42,71 +46,90 @@ _PREFILTER_MARGIN = 1e-9
 RECT_TENSOR_CAP = 1 << 28
 
 
-def _axis_mask(P: np.ndarray, axis: int, m: int) -> np.ndarray:
-    """P[c, y] broadcast to (...axes..., frontier): value axis `axis`
-    against the trailing frontier axis."""
-    K = P.shape[0]
-    shape = [1] * (m + 1)
-    shape[axis] = K
-    shape[m] = K
-    return P.reshape(shape)
+def _frontier_dp(T, weight, layers: int, axes):
+    """Exact (count, weight) float64 tensors of a layered filling DP over
+    integer inputs, indexed by its boundary axes in list order.
+
+    A filling takes one of S states per layer, T[s, r] between layers,
+    and weighs the sum of weight[s] over its states.  An axis (size,
+    {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
+    joins the frontier at its first mask, or, if masked at the last layer
+    only, is contracted with that layer by one matmul.  Raises
+    EnumerationCapError before allocating a tensor of more than
+    ENUMERATION_CAP entries or when an entry could reach 2^53.
+    """
+    S, last = len(weight), layers - 1
+    sizes = [size for size, _ in axes]
+    closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
+    joined = math.prod(n for a, n in enumerate(sizes) if a not in closing)
+    closed = math.prod(sizes[a] for a in closing)
+    largest = max(joined * S, joined * closed, closed * S)
+    if largest > ENUMERATION_CAP:
+        raise EnumerationCapError(f"frontier tensor of {largest} entries "
+                                  f"exceeds the cap {ENUMERATION_CAP}")
+
+    def top(a):
+        return int(np.abs(np.asarray(a)).max(initial=0))
+
+    # count <= S^layers times the largest entries of T and the masks;
+    # weight <= count times the heaviest filling
+    count = S ** layers * top(T) ** last * math.prod(
+        top(mask) for _, m in axes for mask in m.values())
+    if count * max(1, layers * top(weight)) >= 1 << 53:
+        raise EnumerationCapError("frontier entries may reach 2^53, past "
+                                  "the exact range of float64")
+    T, weight = np.asarray(T, np.float64), np.asarray(weight, np.float64)
+
+    present, cnt, wgt = [], np.ones(S), None
+    for layer in range(layers):
+        if layer:
+            cnt = (cnt.reshape(-1, S) @ T).reshape(cnt.shape)
+            wgt = (wgt.reshape(-1, S) @ T).reshape(wgt.shape)
+        here = [a for a, (_, m) in enumerate(axes)
+                if layer in m and a not in closing]
+        if here:
+            new = [a for a in here if a not in present]
+            present += new
+            mask = 1
+            for a in here:
+                shape = [1] * len(present) + [S]
+                shape[present.index(a)] = sizes[a]
+                mask = mask * np.asarray(axes[a][1][layer],
+                                         np.float64).reshape(shape)
+            grown = cnt.shape[:-1] + (1,) * len(new) + (S,)
+            if wgt is None:  # first layer: the frontier is all ones
+                cnt = mask
+            else:
+                cnt = cnt.reshape(grown) * mask
+                wgt = wgt.reshape(grown) * mask
+        wgt = cnt * weight if wgt is None else wgt + cnt * weight
+
+    close = np.ones((1, S))
+    for a in closing:
+        mask = np.asarray(axes[a][1][last], np.float64)
+        close = (close[:, None, :] * mask[None, :, :]).reshape(-1, S)
+    shape = cnt.shape[:-1] + tuple(sizes[a] for a in closing)
+    cnt = (cnt.reshape(-1, S) @ close.T).reshape(shape)
+    wgt = (wgt.reshape(-1, S) @ close.T).reshape(shape)
+    order = present + closing
+    perm = [order.index(a) for a in range(len(axes))]
+    return cnt.transpose(perm), wgt.transpose(perm)
 
 
-def _case_tensors(tag: CaseTag, k: int, pivot_value: int):
-    """(count, weight) int64 tensors of shape (K,)*m indexed by the
-    values of the m non-pivot boundary slots, for the pivot fixed at
-    pivot_value."""
-    K = k + 1
-    d = tag.d
-    slots = case_slots(tag)
-    m = len(slots)
-    if K ** (m + 1) > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"case tensor of {K}^{m + 1} entries exceeds the cap")
+def _case_stats(tag: CaseTag, k: int):
+    """(count, weight) tensors of a catalog case indexed by the pivot
+    value and then the value of each slot of case_slots(tag)."""
+    K, d = k + 1, tag.d
     P = step_matrix(np.arange(K), dtype=np.int64)
-    labels0 = {l - 1 for l in tag.neighbor_labels}
-    pins = [[a for a, bv in enumerate(slots) if bv == i] for i in range(d)]
-    masks = [_axis_mask(P, a, m) for a in range(m)]
-    yvals = np.arange(K, dtype=np.int64)
-
-    def apply_pins(cnt, wgt, vertex):
-        for a in pins[vertex]:
-            cnt = cnt * masks[a]
-            wgt = wgt * masks[a]
-        if vertex in labels0:
-            cnt = cnt * P[pivot_value]
-            wgt = wgt * P[pivot_value]
-        return cnt, wgt
-
-    def sweep(cnt, wgt, vertices):
-        for i in vertices:
-            cnt = cnt @ P
-            wgt = wgt @ P
-            cnt, wgt = apply_pins(cnt, wgt, i)
-            wgt = wgt + cnt * yvals
-        return cnt, wgt
-
-    base_shape = (K,) * m + (K,)
+    axes = [(K, {i - 1: P for i in tag.neighbor_labels})]
+    axes += [(K, {bv: P}) for bv in case_slots(tag)]
     if tag.kind == "type2":
-        cnt = np.ones(base_shape, dtype=np.int64)
-        cnt, _ = apply_pins(cnt, cnt, 0)
-        wgt = cnt * yvals
-        cnt, wgt = sweep(cnt, wgt, range(1, d))
-        return cnt.sum(axis=-1), wgt.sum(axis=-1)
-
-    # cycle: condition on the first vertex's value
-    tot_c = np.zeros((K,) * m, dtype=np.int64)
-    tot_w = np.zeros((K,) * m, dtype=np.int64)
-    for first in range(K):
-        cnt = np.zeros(base_shape, dtype=np.int64)
-        cnt[..., first] = 1
-        cnt, _ = apply_pins(cnt, cnt, 0)
-        wgt = cnt * first
-        cnt, wgt = sweep(cnt, wgt, range(1, d))
-        close = P[:, first]
-        tot_c += (cnt * close).sum(axis=-1)
-        tot_w += (wgt * close).sum(axis=-1)
-    return tot_c, tot_w
+        return _frontier_dp(P, np.arange(K), d, axes)
+    # a cycle carries its first value as one more axis, closed at d-1;
+    # summing it out counts each filling once, so stays below K^d
+    axes.append((K, {0: np.eye(K, dtype=np.int64), d - 1: P}))
+    cnt, wgt = _frontier_dp(P, np.arange(K), d, axes)
+    return cnt.sum(axis=-1), wgt.sum(axis=-1)
 
 
 def maximize_gap(pairs):
@@ -157,23 +180,17 @@ def case_divergence(tag: CaseTag, k: int) -> DivergenceReport:
     cover pairs pivoted at the external vertex.  Memoised on (tag, k):
     the aggregates and tables ask for the same cases many times."""
     d = tag.d
-    stats = [_case_tensors(tag, k, p) for p in range(k + 1)]
+    cnt, wgt = _case_stats(tag, k)
     e_max, x, slot_vals = maximize_gap(
-        (p, stats[p], stats[p + 1]) for p in range(k))
-    m = len(case_slots(tag))
-    if tag.kind == "type1":
-        omega_block = count_cycle_heights(k, d)
-    else:
-        omega_block = count_path_heights(k, d)
-    witness = (
-        BoundaryConstraint(
-            tuple(sorted([(d, x)] + [(d + 1 + a, v)
-                                     for a, v in enumerate(slot_vals)]))),
-        d,
-    )
+        (p, (cnt[p], wgt[p]), (cnt[p + 1], wgt[p + 1])) for p in range(k))
+    pins = [(d, x)] + [(d + 1 + a, v) for a, v in enumerate(slot_vals)]
+    count_heights = (count_cycle_heights if tag.kind == "type1"
+                     else count_path_heights)
     return DivergenceReport(
-        k=k, case_id=str(tag), omega_block=omega_block,
-        omega_boundary=(k + 1) ** (m + 1), e_max=e_max, witness=witness,
+        k=k, case_id=str(tag), omega_block=count_heights(k, d),
+        # the boundary vertices are independent: one entry per assignment
+        omega_boundary=cnt.size, e_max=e_max,
+        witness=(BoundaryConstraint(tuple(sorted(pins))), d),
     )
 
 
@@ -225,54 +242,34 @@ def reproduce_table(table_id: str, k: int,
 # 4x4 grid blocks
 
 
-def _row_vectors(k: int) -> np.ndarray:
-    """All (k+1)-ary 4-vectors with adjacent entries differing by <= 1."""
-    K = k + 1
-    vals = np.indices((K, K, K, K)).reshape(4, -1).T
-    ok = np.all(np.abs(np.diff(vals, axis=1)) <= 1, axis=1)
-    return vals[ok]
-
-
 def rect_stat_tensors(k: int):
     """(count, weight) float64 arrays of shape (t, t, t, t) indexed by the
     (top, left, right, bottom) boundary path sequences of a 4x4 block.
 
     Boundary paths and block rows share the same valid-sequence list of
-    length t.  All entries are integers below 2^53, hence exact.  Raises
-    EnumerationCapError, before allocating, when the two tensors would
-    hold more than RECT_TENSOR_CAP entries.
+    length t.  Each top path is one _frontier_dp call over the four block
+    rows, so the entries are exact (that call checks their bound against
+    2^53).  Raises EnumerationCapError, before allocating, when the two
+    tensors would hold more than RECT_TENSOR_CAP entries.
     """
-    rows = _row_vectors(k)
+    rows = np.array(row_states([range(k + 1)] * 4))
     t = len(rows)
     if 2 * t ** 4 > RECT_TENSOR_CAP:
-        raise EnumerationCapError(
-            f"rect tensors of 2 * {t}^4 entries exceed the cap "
-            f"{RECT_TENSOR_CAP}")
-    rowsum = rows.sum(axis=1).astype(np.float64)
+        raise EnumerationCapError(f"rect tensors of 2 * {t}^4 entries "
+                                  f"exceed the cap {RECT_TENSOR_CAP}")
     # V[s, r]: row r may sit below row s; pointwise |s_j - r_j| <= 1 is
     # also how the top and bottom boundary paths pin the outer rows
-    V = step_matrix(rows, dtype=np.float64)
-    # side masks: boundary sequence s pins the left (right) block column
-    # cell of row i
-    A = [step_matrix(rows[:, i], rows[:, 0], dtype=np.float64)
-         for i in range(4)]
-    Bm = [step_matrix(rows[:, i], rows[:, 3], dtype=np.float64)
-          for i in range(4)]
-    S_cnt = np.empty((t, t, t, t), dtype=np.float64)
-    S_wgt = np.empty((t, t, t, t), dtype=np.float64)
+    V = step_matrix(rows, dtype=np.int64)
+    # side axes: sequence s pins the left (right) column cell of row i
+    left, right = ((t, {i: step_matrix(rows[:, i], rows[:, col],
+                                       dtype=np.int64) for i in range(4)})
+                   for col in (0, 3))
+    bottom = (t, {3: V})
+    S_cnt, S_wgt = np.empty((2, t, t, t, t), dtype=np.float64)
     for ti in range(t):
-        # axes: (left seq, right seq, current row state)
-        cnt = V[ti][None, None, :] * A[0][:, None, :] * Bm[0][None, :, :]
-        wgt = cnt * rowsum
-        for i in range(1, 4):
-            cnt = cnt @ V
-            wgt = wgt @ V
-            mask = A[i][:, None, :] * Bm[i][None, :, :]
-            cnt = cnt * mask
-            wgt = wgt * mask + cnt * rowsum
-        # close with the bottom path
-        S_cnt[ti] = cnt @ V.T
-        S_wgt[ti] = wgt @ V.T
+        top = (1, {0: V[ti:ti + 1]})
+        S_cnt[ti], S_wgt[ti] = _frontier_dp(V, rows.sum(axis=1), 4,
+                                            [top, left, right, bottom])
     return rows, S_cnt, S_wgt
 
 
@@ -293,11 +290,11 @@ def rect_divergence(k: int) -> DivergenceReport:
                     yield (pos, i), (S_cnt[i], S_wgt[i]), (S_cnt[j], S_wgt[j])
 
     e_max, _, _ = maximize_gap(pairs())
-    V = step_matrix(rows)
-    ones = np.ones(len(rows), dtype=object)
+    # the block's fillings: the same DP without boundary axes
+    omega_block, _ = _frontier_dp(step_matrix(rows, dtype=np.int64),
+                                  rows.sum(axis=1), 4, [])
     return DivergenceReport(
-        k=k, case_id="rect4x4",
-        omega_block=int(ones @ np.linalg.matrix_power(V, 3) @ ones),
+        k=k, case_id="rect4x4", omega_block=int(omega_block),
         omega_boundary=count_rect_extensible(k),
         e_max=e_max, witness=None,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kheights import coupling
 from kheights.cli import main, parse_case, parse_graph
 from kheights.graphs import make_toroidal_rect
 
@@ -51,8 +52,25 @@ def test_tables_case_table_mismatch():
 
 def test_tables_cap_exit():
     assert main(["tables", "--id", "hex", "--k", "99"]) == 4
+    # hex k=13 carries a 14^7-entry frontier, just past ENUMERATION_CAP
+    assert main(["tables", "--id", "hex", "--k", "13"]) == 4
     # the rect tensors at k=6 would need ~7.9 GB: refused before allocation
     assert main(["tables", "--id", "rect", "--k", "6"]) == 4
+
+
+def test_sample_slot_cap_exits_4(monkeypatch):
+    # the bottom and top states of rect:4x4 at k=2 lie n*k = 32 apart in
+    # L1 and a time slot narrows that by at most 2: 8 slots cannot coalesce
+    monkeypatch.setattr(coupling, "CFTP_MAX_SLOTS", 8)
+    assert main(["sample", "--graph", "rect:4x4", "--k", "2", "--n", "1",
+                 "--seed", "0"]) == 4
+
+
+def test_couple_time_step_cap_exits_4(monkeypatch):
+    # likewise no coupled step narrows the gap by more than 2
+    monkeypatch.setattr(coupling, "COALESCENCE_MAX_STEPS", 8)
+    assert main(["couple-time", "--graph", "rect:4x4", "--k", "2",
+                 "--trials", "1", "--seed", "0"]) == 4
 
 
 def test_bad_flag_exits_3():

@@ -1,4 +1,8 @@
+import hashlib
+import math
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,14 +12,24 @@ from hypothesis.extra.numpy import arrays
 
 from kheights import _golden
 from kheights.divergence import block_divergence, round_half_even
-from kheights.enumeration import EnumerationCapError
-from kheights.graphs import CaseTag, make_case_graph
+from kheights.enumeration import EnumerationCapError, filling_stats
+from kheights.graphs import (
+    CaseTag,
+    case_slots,
+    make_case_graph,
+    make_toroidal_rect,
+    rect_block_family,
+)
+from kheights.heights import BoundaryConstraint
 from kheights.tables import (
+    _case_stats,
+    _frontier_dp,
     admissible_cases,
     case_divergence,
     hex_divergence,
     maximize_gap,
     regular_aggregates,
+    rect_stat_tensors,
     reproduce_table,
     type1_cases,
     type2_cases,
@@ -182,3 +196,121 @@ def test_maximize_gap_matches_brute_force(pairs):
             maximize_gap(iter(pairs))
     else:
         assert maximize_gap(iter(pairs)) == want
+
+
+#: sha256 over (k, case id, exact e_max, witness) of every row below, in
+#: this order; recorded before the tensor engines were merged into one
+TABLE_INPUTS = ([("type1", k) for k in (2, 3)] + [("type2", k) for k in (2, 3)]
+                + [("hex", k) for k in range(2, 7)]
+                + [("rect", k) for k in (1, 2, 3)])
+TABLE_DIGEST = (
+    "0d393db35b67338dc1def152acfb764642c5abcdf623c4cdfe62b56f80f09d7c")
+
+
+def test_exact_table_rows_pinned():
+    h = hashlib.sha256()
+    for table_id, k in TABLE_INPUTS:
+        for rep in reproduce_table(table_id, k):
+            h.update(repr((k, rep.case_id, str(rep.e_max),
+                           rep.witness)).encode() + b"\n")
+    assert h.hexdigest() == TABLE_DIGEST
+
+
+@cache
+def _case_graph(tag):
+    return make_case_graph(tag)
+
+
+@st.composite
+def case_entries(draw):
+    """A catalog case, k <= 3 and one (pivot, slot values) index."""
+    if draw(st.booleans()):
+        d, labels = draw(st.sampled_from(type1_cases()))
+        tag = CaseTag("type1", labels, d)
+    else:
+        tag = CaseTag("type2", draw(st.sampled_from(type2_cases())))
+    k = draw(st.integers(1, 3))
+    m = len(case_slots(tag))
+    return tag, k, draw(st.tuples(*[st.integers(0, k)] * (m + 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case_entries())
+def test_case_engine_matches_scalar_dp(entry):
+    tag, k, (pivot, *slot_vals) = entry
+    g, block, v = _case_graph(tag)
+    pins = [(v, pivot)] + [(v + 1 + a, x) for a, x in enumerate(slot_vals)]
+    want = filling_stats(g, block, BoundaryConstraint(tuple(pins)), k)
+    cnt, wgt = _case_stats(tag, k)
+    index = (pivot, *slot_vals)
+    assert (cnt[index], wgt[index]) == (want.count, want.total_weight)
+
+
+_RECT = make_toroidal_rect(8, 8)
+#: the block at x, y in 0..3; its rows are y = 0..3
+_RECT_BLOCK = rect_block_family(_RECT).blocks[0]
+
+
+_rect_tensors = cache(rect_stat_tensors)
+
+
+@st.composite
+def rect_entries(draw):
+    """k in {1, 2} and a (top, left, right, bottom) index of the rect
+    tensors of that k."""
+    k = draw(st.integers(1, 2))
+    t = len(_rect_tensors(k)[0])
+    return k, draw(st.tuples(*[st.integers(0, t - 1)] * 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rect_entries())
+def test_rect_engine_matches_scalar_dp(entry):
+    k, index = entry
+    rows, S_cnt, S_wgt = _rect_tensors(k)
+    top, left, right, bottom = (rows[i].tolist() for i in index)
+    pins = ([(7 * 8 + x, top[x]) for x in range(4)]
+            + [(4 * 8 + x, bottom[x]) for x in range(4)]
+            + [(y * 8 + 7, left[y]) for y in range(4)]
+            + [(y * 8 + 4, right[y]) for y in range(4)])
+    want = filling_stats(_RECT, _RECT_BLOCK,
+                         BoundaryConstraint(tuple(sorted(pins))), k)
+    assert (S_cnt[index], S_wgt[index]) == (want.count, want.total_weight)
+
+
+def _brute_frontier(T, weight, layers, axes):
+    """_frontier_dp by summing over every state sequence."""
+    shape = tuple(size for size, _ in axes)
+    cnt = np.zeros(shape, dtype=object)
+    wgt = np.zeros(shape, dtype=object)
+    for seq in product(range(len(weight)), repeat=layers):
+        f = math.prod(int(T[a, b]) for a, b in zip(seq, seq[1:]))
+        w = sum(int(weight[s]) for s in seq)
+        for idx in np.ndindex(*shape):
+            g = f * math.prod(int(mask[idx[a], seq[layer]])
+                              for a, (_, masks) in enumerate(axes)
+                              for layer, mask in masks.items())
+            cnt[idx] += g
+            wgt[idx] += g * w
+    return cnt, wgt
+
+
+def test_frontier_dp_matches_brute_force():
+    T = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    weight = np.array([1, 7, 5])
+    axes = [(3, {0: T, 2: np.eye(3, dtype=int)}),  # joins, masked again
+            (2, {1: np.array([[1, 0, 1], [0, 1, 1]])}),
+            (3, {3: T}),  # two closing axes with distinct masks
+            (2, {3: np.array([[1, 1, 0], [0, 0, 1]])})]
+    cnt, wgt = _frontier_dp(T, weight, 4, axes)
+    want_cnt, want_wgt = _brute_frontier(T, weight, 4, axes)
+    assert np.array_equal(cnt, want_cnt) and np.array_equal(wgt, want_wgt)
+    # the entry bound here is 3^4 sequences x 4 layers x the heaviest
+    # state: the heaviest weight that keeps it below 2^53 still runs
+    # exactly, one more is refused before float64 could round
+    w = (2 ** 53 - 1) // (3 ** 4 * 4)
+    heavy = np.array([1, w, 5])
+    cnt, wgt = _frontier_dp(T, heavy, 4, axes)
+    assert np.array_equal(wgt, _brute_frontier(T, heavy, 4, axes)[1])
+    with pytest.raises(EnumerationCapError, match="2\\^53"):
+        _frontier_dp(T, np.array([1, w + 1, 5]), 4, axes)
