@@ -9,14 +9,22 @@ and the CLI rely on it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .enumeration import enumerate_fillings, enumerate_heights
-from .graphs import BlockFamily, Graph
+from .enumeration import (
+    EnumerationCapError,
+    FillingRanker,
+    dp_shape,
+    enumerate_fillings,
+    enumerate_heights,
+)
+from .graphs import BlockFamily, Graph, boundary
 from .heights import BoundaryConstraint, KHeight
 
 
@@ -84,18 +92,34 @@ def step_updown(state: ChainState) -> ChainState:
 
 
 class BlockSampler:
-    """Uniform sampling from admissible fillings, with a bounded cache of
-    filling lists keyed by (block index, boundary values)."""
+    """Uniform sampling from the admissible fillings of a block.
+
+    A block the layered DP covers (enumeration.dp_shape) is counted and
+    unranked by a FillingRanker, cached by (shape, allowed value ranges)
+    so that all blocks of one shape share entries; the allowed ranges
+    come straight from the values of each block vertex's external
+    neighbours.  Other blocks draw from the enumerated filling list,
+    which fillings_for serves with a bounded cache keyed by (block
+    index, boundary values); the coupled step and the exact transition
+    matrix read that list for every block.
+    """
 
     def __init__(self, graph: Graph, family: BlockFamily, k: int,
                  cache_size: int = 4096):
         self.graph = graph
         self.family = family
         self.k = k
-        from .graphs import boundary
+        adj = graph.adjacency()
         self._bdry = [sorted(boundary(graph, b)) for b in family.blocks]
-        self._cum = np.cumsum([b.multiplicity for b in family.blocks])
+        self._outside = []
+        for b in family.blocks:
+            inside = set(b.vertices)
+            self._outside.append([[u for u in adj[v] if u not in inside]
+                                  for v in b.vertices])
+        self._shape = [dp_shape(graph, b) for b in family.blocks]
+        self._cum = list(accumulate(b.multiplicity for b in family.blocks))
         self._fillings = lru_cache(maxsize=cache_size)(self._fillings_raw)
+        self._ranker = lru_cache(maxsize=cache_size)(FillingRanker)
 
     def _fillings_raw(self, block_idx: int, bvals: tuple[int, ...]):
         block = self.family.blocks[block_idx]
@@ -105,12 +129,31 @@ class BlockSampler:
 
     def pick_block(self, r: int) -> int:
         """Block index for a draw r uniform in [0, total multiplicity)."""
-        return int(np.searchsorted(self._cum, r, side="right"))
+        return bisect_right(self._cum, r)
 
     def fillings_for(self, block_idx: int, values):
         """Admissible fillings of the block under the boundary values."""
         bvals = tuple(values[u] for u in self._bdry[block_idx])
         return self._fillings(block_idx, bvals)
+
+    def ranked(self, block_idx: int, values):
+        """(count, unrank) of the block's admissible fillings under the
+        boundary values: unrank(i) is fillings_for(block_idx, values)[i],
+        for 0 <= i < count."""
+        shape = self._shape[block_idx]
+        if shape is None:
+            fillings = self.fillings_for(block_idx, values)
+            return len(fillings), fillings.__getitem__
+        ranges = []
+        for nbrs in self._outside[block_idx]:
+            lo, hi = 0, self.k
+            for u in nbrs:
+                x = values[u]
+                lo = max(lo, x - 1)
+                hi = min(hi, x + 1)
+            ranges.append((lo, hi))
+        ranker = self._ranker(shape, tuple(ranges))
+        return ranker.count, ranker.unrank
 
     def apply(self, values: list[int], block_idx: int, filling) -> None:
         """Write the filling into the block's vertices of values."""
@@ -122,15 +165,21 @@ def step_block(state: ChainState, sampler: BlockSampler) -> ChainState:
     """One lazy block transition.
 
     Draw order: block draw uniform over total multiplicity, filling index
-    uniform over the admissible fillings, then p.  The filling replaces
-    the block iff p <= 1/2.
+    uniform over the admissible fillings (lexicographic, as
+    enumerate_fillings lists them), then p.  The filling replaces the
+    block iff p <= 1/2; only then is it unranked.  Raises
+    EnumerationCapError when the count reaches 2^63, past the int64
+    index draw.
     """
     r = int(state.rng.integers(sampler.family.total_count))
     b = sampler.pick_block(r)
-    fillings = sampler.fillings_for(b, state.values)
-    idx = int(state.rng.integers(len(fillings)))
+    count, unrank = sampler.ranked(b, state.values)
+    if count >= 1 << 63:
+        raise EnumerationCapError(
+            f"{count} fillings exceed the int64 index draw")
+    idx = int(state.rng.integers(count))
     if float(state.rng.random()) <= 0.5:
-        sampler.apply(state.values, b, fillings[idx])
+        sampler.apply(state.values, b, unrank(idx))
     state.step_count += 1
     return state
 

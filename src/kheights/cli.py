@@ -234,6 +234,8 @@ def cmd_sample(args) -> int:
     import numpy as np
 
     graph = parse_graph(args.graph)
+    if args.height_out and args.n < 1:
+        raise ValueError("--height-out needs --n >= 1")
     lines = [json.dumps({"provenance": _provenance(args.seed, graph),
                          "k": args.k, "sampler": "cftp"})]
     for i in range(args.n):
@@ -241,6 +243,11 @@ def cmd_sample(args) -> int:
             entropy=(args.seed, i)).generate_state(1)[0])
         h = cftp_sample(graph, args.k, sub)
         lines.append(json.dumps({"index": i, "values": list(h.values)}))
+        if i == 0 and args.height_out:
+            # the heatmap input: the graph, k and sample 0's values
+            _write(args.height_out, json.dumps(
+                {"graph": graph.to_json_dict(), "k": args.k,
+                 "values": list(h.values)}) + "\n")
     _write(args.out, "\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -376,6 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out")
+    s.add_argument("--height-out",
+                   help="write sample 0 as heatmap input JSON")
     s.set_defaults(fn=cmd_sample)
 
     c = sub.add_parser("couple-time", help="coalescence-time CSV")

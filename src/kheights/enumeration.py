@@ -7,13 +7,16 @@ Fractions.  One layered transfer DP covers the block shapes used
 throughout: paths, cycles, and 4-wide grid blocks.  Anything else falls
 back to brute-force enumeration under a configurable cap.  This scalar
 DP is the oracle for the vectorized table engines in
-:mod:`kheights.tables`.
+:mod:`kheights.tables`.  Over the same layers and links, FillingRanker
+counts a block's fillings and unranks one in the order of
+enumerate_fillings, for the block chain.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -103,51 +106,157 @@ class FillingStats:
 
 
 def row_states(cells: list[list[int]]) -> list[tuple[int, ...]]:
-    """Value tuples of one grid row whose neighbours differ by <= 1."""
-    return [vec for vec in product(*cells)
-            if all(abs(a - b) <= 1 for a, b in zip(vec, vec[1:]))]
+    """Value tuples of one grid row whose neighbours differ by <= 1, in
+    lexicographic order (each valid prefix extended cell by cell)."""
+    rows = [()]
+    for vals in cells:
+        rows = [r + (x,) for r in rows for x in vals
+                if not r or abs(r[-1] - x) <= 1]
+    return rows
 
 
-def _layered_dp(layers: list[list[tuple[int, ...]]]) -> dict:
-    """Transfer DP over layers of states: maps each state s of the last
-    layer to the (count, total weight) of the fillings that end in s,
-    where a filling picks one state per layer and consecutive states
-    differ by at most 1 in every cell."""
-    f = {s: (1, sum(s)) for s in layers[0]}
-    for states in layers[1:]:
-        g = {}
-        for s in states:
-            c = w = 0
-            for prev in product(*[(x - 1, x, x + 1) for x in s]):
-                if prev in f:
-                    cp, wp = f[prev]
-                    c += cp
-                    w += wp
-            if c:
-                g[s] = (c, w + c * sum(s))
-        f = g
-    return f
+def _layers(shape: str, allowed) -> list[tuple[tuple[int, ...], ...]]:
+    """The DP layers of a path or cycle (one 1-tuple state per value of
+    each vertex) or of a grid (the valid rows of each 4-wide row), each
+    in lexicographic order, so that concatenating one state per layer
+    lists fillings in the order of enumerate_fillings."""
+    if shape == "grid":
+        return [tuple(row_states(allowed[i: i + 4]))
+                for i in range(0, len(allowed), 4)]
+    return [tuple((x,) for x in vals) for vals in allowed]
+
+
+@lru_cache(maxsize=1024)
+def _links(states: tuple, nxt: tuple) -> tuple[tuple[int, ...], ...]:
+    """links[i]: the ascending indices of the states of nxt that differ
+    by at most 1 from states[i] in every cell.  Only the values within
+    the range of each cell of nxt are probed.  Memoised: a layer pair
+    depends only on the allowed values of its cells, which repeat
+    across the blocks and boundaries of one run."""
+    get = {s: j for j, s in enumerate(nxt)}.get
+    windows = []  # per cell: value -> the values of nxt within 1 of it
+    for own, col in zip(zip(*states), zip(*nxt)):
+        lo, hi = min(col), max(col)
+        windows.append({x: range(x - 1 if x > lo else lo,
+                                 x + 2 if x < hi else hi + 1)
+                        for x in set(own)})
+    return tuple(
+        tuple(j for j in map(get, product(*map(dict.__getitem__, windows, s)))
+              if j is not None)
+        for s in states)
+
+
+def _layered_dp(layers: list[tuple[tuple[int, ...], ...]], preds,
+                cnt: list[int]) -> list:
+    """Transfer DP over layers of states: the (count, total weight) of
+    the fillings that end in each state of the last layer, where a
+    filling picks one state per layer, consecutive states differ by at
+    most 1 in every cell (preds[r] = _links(layers[r + 1], layers[r])),
+    and cnt[i] weighs the fillings that start in state i."""
+    wgt = [c * sum(s) for c, s in zip(cnt, layers[0])]
+    for js_of, states in zip(preds, layers[1:]):
+        c_at, w_at = cnt.__getitem__, wgt.__getitem__
+        cnt = [sum(map(c_at, js)) for js in js_of]
+        wgt = [sum(map(w_at, js)) + c * sum(s)
+               for js, c, s in zip(js_of, cnt, states)]
+    return list(zip(cnt, wgt))
 
 
 def _transfer_stats(shape: str, allowed: list[list[int]]) -> FillingStats:
     """Filling statistics of a path, a cycle (closed through its first
     vertex) or a grid of 4-wide rows, by the layered DP."""
-    if shape == "grid":
-        layers = [row_states(allowed[i: i + 4])
-                  for i in range(0, len(allowed), 4)]
-    else:
-        layers = [[(x,) for x in vals] for vals in allowed]
+    layers = _layers(shape, allowed)
+    preds = [_links(b, a) for a, b in zip(layers, layers[1:])]
     if shape != "cycle":
-        ends = _layered_dp(layers).values()
+        ends = _layered_dp(layers, preds, [1] * len(layers[0]))
         return FillingStats(sum(c for c, _ in ends), sum(w for _, w in ends))
-    # a cycle is the path DP started at a fixed first value and closed
+    # a cycle is the path DP started at one first value and closed
     count = weight = 0
-    for first in layers[0]:
-        for (last,), (c, w) in _layered_dp([[first]] + layers[1:]).items():
-            if abs(last - first[0]) <= 1:
+    for i, (first,) in enumerate(layers[0]):
+        start = [0] * len(layers[0])
+        start[i] = 1
+        ends = _layered_dp(layers, preds, start)
+        for (last,), (c, w) in zip(layers[-1], ends):
+            if abs(last - first) <= 1:
                 count += c
                 weight += w
     return FillingStats(count, weight)
+
+
+def dp_shape(graph: Graph, block: Block) -> str | None:
+    """block.shape when the layered DP covers the block: its size fits
+    the shape and its internal edges are exactly the shape's (path
+    i~i+1; cycle, plus 0~m-1; grid, i~i+1 within a row of 4 and
+    i~i+4).  None otherwise."""
+    m, shape = len(block.vertices), block.shape
+    if shape == "path" and m >= 1:
+        want = {(i, i + 1) for i in range(m - 1)}
+    elif shape == "cycle" and m >= 3:
+        want = {(i, i + 1) for i in range(m - 1)} | {(0, m - 1)}
+    elif shape == "grid" and m >= 4 and m % 4 == 0:
+        want = ({(i, i + 1) for i in range(m - 1) if i % 4 != 3}
+                | {(i, i + 4) for i in range(m - 4)})
+    else:
+        return None
+    pos = {v: i for i, v in enumerate(block.vertices)}
+    adj = graph.adjacency()
+    have = {(pos[v], pos[u]) for v in block.vertices for u in adj[v]
+            if pos[v] < pos.get(u, -1)}
+    return shape if have == want else None
+
+
+class FillingRanker:
+    """Count and lexicographic unrank of the fillings of a path, cycle
+    or grid block (see dp_shape) whose vertices take values in the given
+    inclusive (lo, hi) ranges.
+
+    unrank(i) is enumerate_fillings(...)[i] for the same block and
+    ranges, found from suffix counts of the layered DP, one layer at a
+    time, without building the list.  A cycle is split by its first
+    value, in ascending order, into paths that start at that value and
+    end within 1 of it; they share the links of the layers.
+    """
+
+    def __init__(self, shape: str, ranges):
+        layers = _layers(shape, [range(lo, hi + 1) for lo, hi in ranges])
+        self._layers = layers
+        self._links = [_links(a, b) for a, b in zip(layers, layers[1:])]
+        if shape == "cycle":
+            starts = [[i] for i in range(len(layers[0]))]
+            ends = [[int(abs(last - first) <= 1) for (last,) in layers[-1]]
+                    for (first,) in layers[0]]
+        else:
+            starts = [range(len(layers[0]))]
+            ends = [[1] * len(layers[-1])]
+        self._parts = []
+        for start, end in zip(starts, ends):
+            # suffix[r][i]: fillings of layers r.. that start in state i
+            suffix = [end]
+            for js_of in reversed(self._links):
+                after = suffix[-1].__getitem__
+                suffix.append([sum(map(after, js)) for js in js_of])
+            suffix.reverse()
+            total = sum(suffix[0][i] for i in start)
+            self._parts.append((total, start, suffix))
+        self.count = sum(total for total, _, _ in self._parts)
+
+    def unrank(self, idx: int) -> tuple[int, ...]:
+        """The idx-th filling (0 <= idx < count) in lexicographic order."""
+        for total, cand, suffix in self._parts:
+            if idx < total:
+                break
+            idx -= total
+        out = []
+        for r, states in enumerate(self._layers):
+            counts = suffix[r]
+            for i in cand:
+                if idx < counts[i]:
+                    break
+                idx -= counts[i]
+            out += states[i]
+            if r < len(self._links):
+                cand = self._links[r][i]
+        return tuple(out)
 
 
 def _brute_stats(graph: Graph, block: Block,

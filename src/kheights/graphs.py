@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 class GraphError(ValueError):
@@ -110,7 +111,7 @@ class Block:
 class BlockFamily:
     blocks: tuple[Block, ...]
 
-    @property
+    @cached_property
     def total_count(self) -> int:
         return sum(b.multiplicity for b in self.blocks)
 
@@ -201,13 +202,9 @@ def make_complete(n: int) -> Graph:
 def boundary(graph: Graph, block: Block) -> frozenset[int]:
     """External neighbors of the block."""
     inside = set(block.vertices)
-    out = set()
-    for u, v in graph.edges:
-        if u in inside and v not in inside:
-            out.add(v)
-        elif v in inside and u not in inside:
-            out.add(u)
-    return frozenset(out)
+    adj = graph.adjacency()
+    return frozenset(u for v in block.vertices for u in adj[v]
+                     if u not in inside)
 
 
 def rect_block_family(graph: Graph) -> BlockFamily:

@@ -139,8 +139,9 @@ def maximize_gap(pairs):
     weight arrays, all of one shape, of the low and high side of a cover
     pair at every index; an index counts only where both counts are
     positive.  A float pass keeps the entries within _PREFILTER_MARGIN of
-    the running float maximum, holding one gap array at a time; each
-    survivor is re-checked with Fractions.  Returns (Fraction, key, index
+    the running float maximum, holding one gap array at a time; the
+    survivors are compared exactly by integer cross-multiplication, and
+    only the winner becomes a Fraction.  Returns (Fraction, key, index
     tuple); ties resolve to the smallest (index, key).  Raises ValueError
     when no index of any pair is extensible.
     """
@@ -148,7 +149,7 @@ def maximize_gap(pairs):
         return best - _PREFILTER_MARGIN * max(1.0, abs(best))
 
     best_f = -np.inf
-    kept = []  # (key, lo, hi, indices, float gaps) above the floor so far
+    kept = []  # (key, lo, hi, flat indices, float gaps) above the floor so far
     for key, lo, hi in pairs:
         (c1, w1), (c2, w2) = lo, hi
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -157,21 +158,32 @@ def maximize_gap(pairs):
         best_f = max(best_f, mx)
         if mx > -np.inf and mx >= floor(best_f):
             near = gap >= floor(best_f)
-            kept.append((key, lo, hi, np.argwhere(near), gap[near]))
+            kept.append((key, lo, hi, np.flatnonzero(near), gap[near]))
         del gap
     if best_f == -np.inf:
         raise ValueError("no extensible cover pair")
     # the floor only rises, so the survivors of the final floor are
-    # exactly the entries a pass over all gap arrays at once would keep
-    exact = [
-        (Fraction(int(w2[j]), int(c2[j])) - Fraction(int(w1[j]), int(c1[j])),
-         j, key)
-        for key, (c1, w1), (c2, w2), idx, g in kept
-        for j in map(tuple, idx[g >= floor(best_f)].tolist())
-    ]
-    best = max(e for e, _, _ in exact)
-    _, j, key = min(c for c in exact if c[0] == best)
-    return best, key, j
+    # exactly the entries a pass over all gap arrays at once would keep.
+    # Flat (C-order) indices compare like index tuples.  The entries are
+    # integers below 2^53 (_frontier_dp), so int() of their floats is
+    # exact.
+    best = None  # (numerator, denominator, flat index, key) of the gap
+    for key, (c1, w1), (c2, w2), flat, g in kept:
+        flat = flat[g >= floor(best_f)]
+        shape = np.shape(c1)
+        cols = (np.asarray(x).flat[flat].tolist() for x in (c1, w1, c2, w2))
+        for f, *entries in zip(flat.tolist(), *cols):
+            # w2/c2 - w1/c1 = (c1*w2 - c2*w1) / (c1*c2)
+            ca, wa, cb, wb = map(int, entries)
+            num, den = ca * wb - cb * wa, ca * cb
+            if best is not None:
+                cross = num * best[1] - best[0] * den
+                if cross < 0 or (cross == 0 and (f, key) >= best[2:]):
+                    continue
+            best = (num, den, f, key)
+    num, den, f, key = best
+    j = tuple(int(i) for i in np.unravel_index(f, shape))
+    return Fraction(num, den), key, j
 
 
 @cache

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
 from hypothesis import given, settings, strategies
 
 from conftest import small_graphs
+from kheights import chains
 from kheights.chains import (
     BlockSampler,
     make_chain,
@@ -14,7 +17,18 @@ from kheights.chains import (
     transition_matrix_updown,
     updown_result,
 )
-from kheights.graphs import Graph, hex_block_family, make_toroidal_hex, singleton_family
+from kheights.enumeration import EnumerationCapError, dp_shape
+from kheights.graphs import (
+    Block,
+    BlockFamily,
+    Graph,
+    hex_block_family,
+    make_complete,
+    make_toroidal_hex,
+    make_toroidal_rect,
+    rect_block_family,
+    singleton_family,
+)
 from kheights.heights import enumerate_heights, is_valid
 
 
@@ -145,3 +159,126 @@ def test_make_rng_reproducible():
     a = make_rng(5).integers(0, 1000, size=8)
     b = make_rng(5).integers(0, 1000, size=8)
     assert (a == b).all()
+
+
+def _small_dp_blocks():
+    """Every path and cycle block of the small oracle graphs whose
+    internal edges match its shape (singletons are 1-vertex paths)."""
+    out = []
+    for g in small_graphs():
+        for m in range(1, g.n + 1):
+            for verts in permutations(range(g.n), m):
+                for shape in ("path", "cycle"):
+                    block = Block(verts, shape=shape)
+                    if dp_shape(g, block) == shape:
+                        out.append((g, block))
+    return out
+
+
+def _ranker_cases():
+    small = [(g, b, k) for g, b in _small_dp_blocks() for k in range(4)]
+    hex4 = make_toroidal_hex(4, 4)
+    small += [(hex4, b, k) for b in hex_block_family(hex4).blocks
+              for k in (1, 2, 3)]
+    rect = make_toroidal_rect(8, 8)
+    grids = [(rect, b, k) for b in rect_block_family(rect).blocks[:8]
+             for k in (1, 2)]
+    return small, grids
+
+
+SMALL_CASES, GRID_CASES = _ranker_cases()
+
+
+def _check_ranked(data, cases):
+    """The DP count and unrank agree with the enumerated filling list
+    under random boundary values: arbitrary ones (often inconsistent)
+    or one constant value (many fillings)."""
+    g, block, k = data.draw(strategies.sampled_from(cases))
+    assert dp_shape(g, block) == block.shape
+    values = data.draw(strategies.one_of(
+        strategies.lists(strategies.integers(0, k), min_size=g.n,
+                         max_size=g.n),
+        strategies.integers(0, k).map(lambda c: [c] * g.n)))
+    sampler = BlockSampler(g, BlockFamily((block,)), k)
+    count, unrank = sampler.ranked(0, values)
+    fillings = sampler.fillings_for(0, values)
+    assert count == len(fillings)
+    idx = range(count)
+    if count > 64:
+        idx = data.draw(strategies.lists(
+            strategies.integers(0, count - 1), min_size=32, max_size=32))
+        idx += [0, count - 1]
+    for i in idx:
+        assert unrank(i) == fillings[i]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=strategies.data())
+def test_ranked_matches_enumerated_fillings(data):
+    """Path, cycle and singleton blocks of the small graphs, and the
+    hex:4x4 blocks at k <= 3."""
+    _check_ranked(data, SMALL_CASES)
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=strategies.data())
+def test_ranked_grid_matches_enumerated_fillings(data):
+    """4x4 blocks of rect:8x8 at k <= 2 (up to ~9e4 fillings each, so
+    few examples and a sample of indices)."""
+    _check_ranked(data, GRID_CASES)
+
+
+def test_dp_shape_checks_internal_edges(cycle4):
+    assert dp_shape(cycle4, Block((0, 1, 2, 3), shape="cycle")) == "cycle"
+    # the closing edge 0~3 is not a path edge; order 0,2 is no edge
+    assert dp_shape(cycle4, Block((0, 1, 2, 3), shape="path")) is None
+    assert dp_shape(cycle4, Block((0, 2, 1, 3), shape="cycle")) is None
+    assert dp_shape(cycle4, Block((0, 1, 2), shape="path")) == "path"
+    assert dp_shape(cycle4, Block((0, 1), shape=None)) is None
+    rect = make_toroidal_rect(8, 8)
+    assert {dp_shape(rect, b) for b in rect_block_family(rect).blocks} == {
+        "grid"}
+
+
+def test_step_block_unranks_without_enumerating(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("enumerate_fillings called")
+
+    monkeypatch.setattr(chains, "enumerate_fillings", forbidden)
+    for g, k in [(make_toroidal_hex(4, 4), 2), (make_toroidal_rect(8, 8), 2),
+                 (make_complete(4), 3)]:
+        fam = {"hex": hex_block_family, "rect": rect_block_family}.get(
+            g.kind, singleton_family)(g)
+        st = make_chain(g, k, seed=5)
+        sampler = BlockSampler(g, fam, k)
+        for _ in range(60):
+            step_block(st, sampler)
+        assert is_valid(g, st.values, k)
+
+
+def test_step_block_falls_back_to_the_list_off_shape(cycle4):
+    # declared a path, but 0~3 closes a cycle: the enumerated list rules
+    block = Block((0, 1, 2, 3), shape="path")
+    sampler = BlockSampler(cycle4, BlockFamily((block,)), 2)
+    count, _ = sampler.ranked(0, [0] * 4)
+    assert count == len(sampler.fillings_for(0, [0] * 4))
+    st = make_chain(cycle4, 2, seed=1)
+    for _ in range(50):
+        step_block(st, sampler)
+        assert is_valid(cycle4, st.values, 2)
+
+
+def test_step_block_refuses_counts_past_int64():
+    # at k=1 every assignment of a path is a filling: 2^m of them
+    for m in (62, 63):
+        g = Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+        sampler = BlockSampler(
+            g, BlockFamily((Block(tuple(range(m)), shape="path"),)), 1)
+        assert sampler.ranked(0, [0] * m)[0] == 1 << m
+        st = make_chain(g, 1, seed=0)
+        if m == 62:
+            step_block(st, sampler)
+            assert st.step_count == 1
+        else:
+            with pytest.raises(EnumerationCapError):
+                step_block(st, sampler)

@@ -132,6 +132,30 @@ def test_sample_command(tmp_path):
         assert all(v in (0, 1) for v in doc["values"])
 
 
+def test_sample_height_out_feeds_heatmap(tmp_path):
+    argv = ["sample", "--graph", "rect:4x4", "--k", "2", "--n", "2",
+            "--seed", "13"]
+    plain, with_height = tmp_path / "plain.jsonl", tmp_path / "s.jsonl"
+    height = tmp_path / "height.json"
+    assert main(argv + ["--out", str(plain)]) == 0
+    assert main(argv + ["--out", str(with_height),
+                        "--height-out", str(height)]) == 0
+    samples = with_height.read_text().splitlines()[1:]
+    assert samples == plain.read_text().splitlines()[1:]
+    doc = json.loads(height.read_text())
+    assert doc["k"] == 2
+    assert doc["values"] == json.loads(samples[0])["values"]
+    out = tmp_path / "x.ppm"
+    assert main(["heatmap", "--height", str(height), "--out", str(out),
+                 "--scale", "3"]) == 0
+    header = b"P6\n12 12\n255\n"
+    data = out.read_bytes()
+    assert data.startswith(header)
+    assert len(data) == len(header) + 12 * 12 * 3
+    assert main(["sample", "--graph", "rect:4x4", "--k", "2", "--n", "0",
+                 "--seed", "13", "--height-out", str(height)]) == 3
+
+
 def test_couple_time_csv(tmp_path):
     out = tmp_path / "times.csv"
     assert main(["couple-time", "--graph", "path:3", "--k", "2",

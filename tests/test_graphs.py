@@ -87,6 +87,22 @@ def test_boundary_of_rect_block():
     assert len(boundary(g, b)) == 16
 
 
+def _edge_scan_boundary(graph, block):
+    inside = set(block.vertices)
+    return {v if u in inside else u for u, v in graph.edges
+            if (u in inside) != (v in inside)}
+
+
+def test_boundary_matches_edge_scan():
+    rect, hex4, hex8 = (make_toroidal_rect(8, 8), make_toroidal_hex(4, 4),
+                        make_toroidal_hex(8, 8))
+    cases = [(rect, rect_block_family(rect)), (hex4, hex_block_family(hex4)),
+             (hex8, hex_block_family(hex8)), (hex4, singleton_family(hex4))]
+    for g, fam in cases:
+        for b in fam.blocks:
+            assert boundary(g, b) == _edge_scan_boundary(g, b)
+
+
 def test_rect_family_needs_room():
     with pytest.raises(GraphError):
         rect_block_family(make_toroidal_rect(7, 8))

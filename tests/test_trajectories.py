@@ -24,6 +24,16 @@ CASES = {
          "--steps", "300", "--seed", "12", "--emit-every", "50"],
         "90069ec71ae430a2d3b365a042cf98ea"
         "6021027ffc06a2efca2c7044df044133"),
+    "run block rect:8x8": (
+        ["run", "--chain", "block", "--graph", "rect:8x8", "--k", "2",
+         "--steps", "40", "--seed", "15", "--emit-every", "10"],
+        "b94e693b88f43500633c555689a06efe"
+        "4a812e5a8ce7e998f34099878caf4534"),
+    "run block complete:4": (
+        ["run", "--chain", "block", "--graph", "complete:4", "--k", "3",
+         "--steps", "300", "--seed", "16", "--emit-every", "50"],
+        "a7aa52efb30aad0cf4eacb23d11ef5b2"
+        "a3524ee0a2bb4b2545b08dc791e5a799"),
     "sample rect:4x4": (
         ["sample", "--graph", "rect:4x4", "--k", "2", "--n", "5",
          "--seed", "13"],
