@@ -281,7 +281,9 @@ def cmd_heatmap(args) -> int:
     dims = graph.dims
     scale = args.scale
     if dims and args.out.endswith(".ppm"):
-        g, h = dims
+        # one row per y; a hex graph has two vertices per grid point
+        h = dims[1]
+        g = graph.n // h
         header = f"P6\n{g * scale} {h * scale}\n255\n".encode()
         body = bytearray()
         for y in range(h):

@@ -285,15 +285,15 @@ def _brute_stats(graph: Graph, block: Block,
 def filling_stats(graph: Graph, block: Block,
                   constraint: BoundaryConstraint, k: int) -> FillingStats:
     """Exact count and total weight of admissible fillings of the block
-    under the boundary constraint."""
+    under the boundary constraint: by the layered DP when the block's
+    internal edges are those of its declared shape (dp_shape), else by
+    brute force."""
     allowed = _allowed_sets(graph, block, constraint, k)
     if any(not a for a in allowed):
         return FillingStats(0, 0)
-    m = len(block.vertices)
-    if ((block.shape == "path" and m >= 1)
-            or (block.shape == "cycle" and m >= 3)
-            or (block.shape == "grid" and m % 4 == 0)):
-        return _transfer_stats(block.shape, allowed)
+    shape = dp_shape(graph, block)
+    if shape is not None:
+        return _transfer_stats(shape, allowed)
     return _brute_stats(graph, block, allowed)
 
 

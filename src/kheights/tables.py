@@ -7,10 +7,13 @@ boundary vertices, the exact (count, total weight) of admissible
 fillings: the states are values for a case and valid 4-rows for the
 grid, and each boundary vertex is an axis that joins the tensor where
 it pins the block.  It runs in float64 and refuses (EnumerationCapError)
-any input whose entries it cannot bound below 2^53.  Then the
+any input whose entries it cannot bound below 2^53.  The outermost
+boundary axis is streamed: a type-1 cycle runs one pass per value of its
+first vertex, and the 4x4 grid one (t, t, t) slice per top boundary
+path, of which rect_divergence holds three at a time.  Then the
 expected-weight gap is maximized over all extensible cover pairs; floats
 are only a prefilter there, and every candidate maximum is confirmed
-with Fractions.
+with exact integers.
 """
 
 from __future__ import annotations
@@ -40,10 +43,10 @@ from .heights import BoundaryConstraint
 # are re-checked exactly
 _PREFILTER_MARGIN = 1e-9
 
-#: entries of the two (t, t, t, t) float64 rect tensors together above
-#: which rect_stat_tensors refuses to allocate (2^28 entries = 2 GiB);
-#: k=4 needs 2 * 95^4 = 1.6e8, k=5 already 2 * 122^4 = 4.4e8
-RECT_TENSOR_CAP = 1 << 28
+#: entries of one (t, t, t) float64 rect slice above which
+#: rect_stat_tensors refuses to compute (2^22 entries = 32 MiB a tensor);
+#: k=6 needs 149^3 = 3.3e6, k=7 already 176^3 = 5.5e6
+RECT_SLICE_CAP = 1 << 22
 
 
 def _frontier_dp(T, weight, layers: int, axes):
@@ -125,11 +128,16 @@ def _case_stats(tag: CaseTag, k: int):
     axes += [(K, {bv: P}) for bv in case_slots(tag)]
     if tag.kind == "type2":
         return _frontier_dp(P, np.arange(K), d, axes)
-    # a cycle carries its first value as one more axis, closed at d-1;
-    # summing it out counts each filling once, so stays below K^d
-    axes.append((K, {0: np.eye(K, dtype=np.int64), d - 1: P}))
-    cnt, wgt = _frontier_dp(P, np.arange(K), d, axes)
-    return cnt.sum(axis=-1), wgt.sum(axis=-1)
+    # a cycle is summed over the value f of its first vertex, one pass
+    # each: a size-1 axis pins vertex 0 to f and vertex d-1 within 1 of
+    # it.  The passes count each filling once, so their sum stays below
+    # the bound that _frontier_dp checks for one pass.
+    I, cnt, wgt = np.eye(K, dtype=np.int64), 0, 0
+    for f in range(K):
+        first = (1, {0: I[f:f + 1], d - 1: P[f:f + 1]})
+        c, w = _frontier_dp(P, np.arange(K), d, axes + [first])
+        cnt, wgt = cnt + c[..., 0], wgt + w[..., 0]
+    return cnt, wgt
 
 
 def maximize_gap(pairs):
@@ -138,27 +146,30 @@ def maximize_gap(pairs):
     `pairs` yields (key, (c_lo, w_lo), (c_hi, w_hi)): count and total
     weight arrays, all of one shape, of the low and high side of a cover
     pair at every index; an index counts only where both counts are
-    positive.  A float pass keeps the entries within _PREFILTER_MARGIN of
-    the running float maximum, holding one gap array at a time; the
-    survivors are compared exactly by integer cross-multiplication, and
-    only the winner becomes a Fraction.  Returns (Fraction, key, index
-    tuple); ties resolve to the smallest (index, key).  Raises ValueError
-    when no index of any pair is extensible.
+    positive.  A float pass keeps, of each pair, the flat indices within
+    _PREFILTER_MARGIN of the running float maximum with copies of their
+    four entries, so no array outlives its pair and the generator may
+    free or overwrite it; the survivors are compared exactly by integer
+    cross-multiplication, and only the winner becomes a Fraction.
+    Returns (Fraction, key, index tuple); ties resolve to the smallest
+    (index, key).  Raises ValueError when no index of any pair is
+    extensible.
     """
     def floor(best):
         return best - _PREFILTER_MARGIN * max(1.0, abs(best))
 
     best_f = -np.inf
-    kept = []  # (key, lo, hi, flat indices, float gaps) above the floor so far
-    for key, lo, hi in pairs:
-        (c1, w1), (c2, w2) = lo, hi
+    kept = []  # (key, flat indices, float gaps, entries) above the floor
+    for key, (c1, w1), (c2, w2) in pairs:
+        shape = np.shape(c1)
         with np.errstate(divide="ignore", invalid="ignore"):
             gap = np.where((c1 > 0) & (c2 > 0), w2 / c2 - w1 / c1, -np.inf)
         mx = gap.max()
         best_f = max(best_f, mx)
         if mx > -np.inf and mx >= floor(best_f):
-            near = gap >= floor(best_f)
-            kept.append((key, lo, hi, np.flatnonzero(near), gap[near]))
+            flat = np.flatnonzero(gap >= floor(best_f))
+            entries = [np.asarray(x).flat[flat] for x in (c1, w1, c2, w2)]
+            kept.append((key, flat, gap.flat[flat], entries))
         del gap
     if best_f == -np.inf:
         raise ValueError("no extensible cover pair")
@@ -168,13 +179,12 @@ def maximize_gap(pairs):
     # integers below 2^53 (_frontier_dp), so int() of their floats is
     # exact.
     best = None  # (numerator, denominator, flat index, key) of the gap
-    for key, (c1, w1), (c2, w2), flat, g in kept:
-        flat = flat[g >= floor(best_f)]
-        shape = np.shape(c1)
-        cols = (np.asarray(x).flat[flat].tolist() for x in (c1, w1, c2, w2))
-        for f, *entries in zip(flat.tolist(), *cols):
+    for key, flat, g, entries in kept:
+        near = g >= floor(best_f)
+        cols = (x[near].tolist() for x in entries)
+        for f, *entry in zip(flat[near].tolist(), *cols):
             # w2/c2 - w1/c1 = (c1*w2 - c2*w1) / (c1*c2)
-            ca, wa, cb, wb = map(int, entries)
+            ca, wa, cb, wb = map(int, entry)
             num, den = ca * wb - cb * wa, ca * cb
             if best is not None:
                 cross = num * best[1] - best[0] * den
@@ -255,20 +265,23 @@ def reproduce_table(table_id: str, k: int,
 
 
 def rect_stat_tensors(k: int):
-    """(count, weight) float64 arrays of shape (t, t, t, t) indexed by the
-    (top, left, right, bottom) boundary path sequences of a 4x4 block.
+    """(rows, top_slice) of a 4x4 block: the valid 4-rows of length t,
+    and a function that computes, for the top boundary path rows[i],
+    the (count, weight) float64 arrays of shape (t, t, t) indexed by the
+    (left, right, bottom) boundary path sequences.
 
-    Boundary paths and block rows share the same valid-sequence list of
-    length t.  Each top path is one _frontier_dp call over the four block
-    rows, so the entries are exact (that call checks their bound against
-    2^53).  Raises EnumerationCapError, before allocating, when the two
-    tensors would hold more than RECT_TENSOR_CAP entries.
+    Boundary paths and block rows share the same valid-sequence list.
+    Each slice is one _frontier_dp call over the four block rows, with
+    the top path as a size-1 axis, so the entries are exact (that call
+    checks their bound against 2^53); nothing is kept between calls.
+    Raises EnumerationCapError, before computing anything, when one
+    slice would hold more than RECT_SLICE_CAP entries.
     """
     rows = np.array(row_states([range(k + 1)] * 4))
     t = len(rows)
-    if 2 * t ** 4 > RECT_TENSOR_CAP:
-        raise EnumerationCapError(f"rect tensors of 2 * {t}^4 entries "
-                                  f"exceed the cap {RECT_TENSOR_CAP}")
+    if t ** 3 > RECT_SLICE_CAP:
+        raise EnumerationCapError(f"rect slices of {t}^3 entries exceed "
+                                  f"the cap {RECT_SLICE_CAP}")
     # V[s, r]: row r may sit below row s; pointwise |s_j - r_j| <= 1 is
     # also how the top and bottom boundary paths pin the outer rows
     V = step_matrix(rows, dtype=np.int64)
@@ -277,29 +290,42 @@ def rect_stat_tensors(k: int):
                                        dtype=np.int64) for i in range(4)})
                    for col in (0, 3))
     bottom = (t, {3: V})
-    S_cnt, S_wgt = np.empty((2, t, t, t, t), dtype=np.float64)
-    for ti in range(t):
-        top = (1, {0: V[ti:ti + 1]})
-        S_cnt[ti], S_wgt[ti] = _frontier_dp(V, rows.sum(axis=1), 4,
-                                            [top, left, right, bottom])
-    return rows, S_cnt, S_wgt
+
+    def top_slice(i: int):
+        top = (1, {0: V[i:i + 1]})
+        cnt, wgt = _frontier_dp(V, rows.sum(axis=1), 4,
+                                [top, left, right, bottom])
+        return cnt[0], wgt[0]
+
+    return rows, top_slice
 
 
 def rect_divergence(k: int) -> DivergenceReport:
     """Full divergence maximization for the 4x4 block: maximum over the
     two symmetry-distinct pivot positions (path end and path middle) of
-    the top boundary path."""
-    rows, S_cnt, S_wgt = rect_stat_tensors(k)
-    index = {tuple(v): i for i, v in enumerate(rows)}
+    the top boundary path.
+
+    The top paths are visited in colexicographic order (last cell most
+    significant), where a path's cover partners, its first or second
+    cell +1, follow it within two places; so each slice is computed once
+    and only the last three are held.
+    """
+    rows, top_slice = rect_stat_tensors(k)
+    paths = [tuple(v) for v in rows.tolist()]
+    index = {v: i for i, v in enumerate(paths)}
 
     def pairs():
-        for pos in (0, 1):
-            for i, v in enumerate(rows):
-                w = list(v)
-                w[pos] += 1
-                j = index.get(tuple(w))
-                if j is not None:
-                    yield (pos, i), (S_cnt[i], S_wgt[i]), (S_cnt[j], S_wgt[j])
+        window = {}  # top index -> slice, the last three computed
+        for j in sorted(range(len(paths)), key=lambda i: paths[i][::-1]):
+            if len(window) == 3:
+                del window[next(iter(window))]
+            window[j] = top_slice(j)
+            for pos in (0, 1):
+                low = list(paths[j])
+                low[pos] -= 1
+                i = index.get(tuple(low))
+                if i is not None:
+                    yield (pos, i), window[i], window[j]
 
     e_max, _, _ = maximize_gap(pairs())
     # the block's fillings: the same DP without boundary axes

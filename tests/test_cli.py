@@ -3,7 +3,7 @@ import json
 import pytest
 
 from kheights import coupling
-from kheights.cli import main, parse_case, parse_graph
+from kheights.cli import _ramp, main, parse_case, parse_graph
 from kheights.graphs import make_toroidal_rect
 
 
@@ -52,10 +52,12 @@ def test_tables_case_table_mismatch():
 
 def test_tables_cap_exit():
     assert main(["tables", "--id", "hex", "--k", "99"]) == 4
-    # hex k=13 carries a 14^7-entry frontier, just past ENUMERATION_CAP
-    assert main(["tables", "--id", "hex", "--k", "13"]) == 4
-    # the rect tensors at k=6 would need ~7.9 GB: refused before allocation
-    assert main(["tables", "--id", "rect", "--k", "6"]) == 4
+    # hex k=20 carries a 21^6-entry frontier per first value, just past
+    # ENUMERATION_CAP
+    assert main(["tables", "--id", "hex", "--k", "20"]) == 4
+    # one rect slice at k=7 has 176^3 entries, past RECT_SLICE_CAP:
+    # refused before any slice is computed
+    assert main(["tables", "--id", "rect", "--k", "7"]) == 4
 
 
 def test_sample_slot_cap_exits_4(monkeypatch):
@@ -154,6 +156,19 @@ def test_sample_height_out_feeds_heatmap(tmp_path):
     assert len(data) == len(header) + 12 * 12 * 3
     assert main(["sample", "--graph", "rect:4x4", "--k", "2", "--n", "0",
                  "--seed", "13", "--height-out", str(height)]) == 3
+    # hex:4x4 has two vertices per grid point: 8 columns, 4 rows, every
+    # value drawn once in vertex order
+    assert main(["sample", "--graph", "hex:4x4", "--k", "2", "--n", "1",
+                 "--seed", "13", "--out", str(plain),
+                 "--height-out", str(height)]) == 0
+    assert main(["heatmap", "--height", str(height), "--out", str(out),
+                 "--scale", "1"]) == 0
+    header = b"P6\n8 4\n255\n"
+    data = out.read_bytes()
+    assert data.startswith(header)
+    values = json.loads(height.read_text())["values"]
+    assert len(values) == 32
+    assert data[len(header):] == b"".join(bytes(_ramp(v, 2)) for v in values)
 
 
 def test_couple_time_csv(tmp_path):

@@ -110,6 +110,17 @@ def test_unconstrained_hex_block_stats():
     assert stats.expected_weight == Fraction(6)  # symmetry: mean k/2 per vertex
 
 
+def test_filling_stats_checks_declared_shape(cycle4):
+    # the closing edge 0~3 makes this "path" a 4-cycle: 35 fillings at
+    # k=2, where the path DP alone would count 41
+    block = Block((0, 1, 2, 3), shape="path")
+    empty = BoundaryConstraint(())
+    stats = filling_stats(cycle4, block, empty, 2)
+    fillings = enumerate_fillings(cycle4, block, empty, 2)
+    assert stats.count == len(fillings) == 35
+    assert stats.total_weight == sum(map(sum, fillings))
+
+
 def test_expected_weight_errors_when_empty():
     g = Graph.from_edges(2, [(0, 1)])
     block = Block(vertices=(0,), shape="path")

@@ -1,16 +1,17 @@
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kheights import _golden
+from kheights import _golden, tables
 from kheights.divergence import block_divergence, round_half_even
 from kheights.enumeration import EnumerationCapError, filling_stats
 from kheights.graphs import (
@@ -198,6 +199,25 @@ def test_maximize_gap_matches_brute_force(pairs):
         assert maximize_gap(iter(pairs)) == want
 
 
+@settings(max_examples=100, deadline=None)
+@given(gap_pairs())
+def test_maximize_gap_keeps_no_array_references(pairs):
+    # every pair is handed out in one buffer that is overwritten as soon
+    # as the next pair is asked for, as a streaming producer may do
+    want = _brute_max_gap(pairs)
+    assume(want is not None)
+    c1 = pairs[0][1][0]
+
+    def reused():
+        buf = np.empty((4,) + c1.shape, c1.dtype)
+        for key, lo, hi in pairs:
+            buf[:] = lo + hi
+            yield key, (buf[0], buf[1]), (buf[2], buf[3])
+            buf[:] = 1 - buf
+
+    assert maximize_gap(reused()) == want
+
+
 #: sha256 over (k, case id, exact e_max, witness) of every row below, in
 #: this order; recorded before the tensor engines were merged into one
 TABLE_INPUTS = ([("type1", k) for k in (2, 3)] + [("type2", k) for k in (2, 3)]
@@ -251,31 +271,73 @@ _RECT = make_toroidal_rect(8, 8)
 _RECT_BLOCK = rect_block_family(_RECT).blocks[0]
 
 
-_rect_tensors = cache(rect_stat_tensors)
+@cache
+def _rect_slice(k, top):
+    rows, top_slice = rect_stat_tensors(k)
+    return rows, top_slice(top)
 
 
 @st.composite
 def rect_entries(draw):
     """k in {1, 2} and a (top, left, right, bottom) index of the rect
-    tensors of that k."""
+    slices of that k."""
     k = draw(st.integers(1, 2))
-    t = len(_rect_tensors(k)[0])
+    t = len(rect_stat_tensors(k)[0])
     return k, draw(st.tuples(*[st.integers(0, t - 1)] * 4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(rect_entries())
 def test_rect_engine_matches_scalar_dp(entry):
-    k, index = entry
-    rows, S_cnt, S_wgt = _rect_tensors(k)
-    top, left, right, bottom = (rows[i].tolist() for i in index)
+    k, (top_i, *rest) = entry
+    rows, (cnt, wgt) = _rect_slice(k, top_i)
+    top, left, right, bottom = (rows[i].tolist() for i in (top_i, *rest))
     pins = ([(7 * 8 + x, top[x]) for x in range(4)]
             + [(4 * 8 + x, bottom[x]) for x in range(4)]
             + [(y * 8 + 7, left[y]) for y in range(4)]
             + [(y * 8 + 4, right[y]) for y in range(4)])
     want = filling_stats(_RECT, _RECT_BLOCK,
                          BoundaryConstraint(tuple(sorted(pins))), k)
-    assert (S_cnt[index], S_wgt[index]) == (want.count, want.total_weight)
+    assert (cnt[tuple(rest)], wgt[tuple(rest)]) == (want.count,
+                                                    want.total_weight)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rect_divergence_computes_each_slice_once(k, monkeypatch):
+    computed = []
+
+    def counting(k):
+        rows, top_slice = rect_stat_tensors(k)
+
+        def counted(i):
+            computed.append(i)
+            return top_slice(i)
+
+        return rows, counted
+
+    monkeypatch.setattr(tables, "rect_stat_tensors", counting)
+    tables.rect_divergence(k)
+    assert sorted(computed) == list(range(len(rect_stat_tensors(k)[0])))
+
+
+def test_rect_divergence_memory_is_a_few_slices():
+    # t = 68 at k=3: one (count, weight) slice pair is 5 MB, the two
+    # t^4 tensors it replaced 340 MB
+    tracemalloc.start()
+    try:
+        tables.rect_divergence(3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+def test_rect_slice_cap():
+    # k=6 (t=149) is the last k whose slices fit RECT_SLICE_CAP; neither
+    # call computes a slice
+    assert len(rect_stat_tensors(6)[0]) == 149
+    with pytest.raises(EnumerationCapError):
+        rect_stat_tensors(7)
 
 
 def _brute_frontier(T, weight, layers, axes):
