@@ -5,6 +5,29 @@ Randomness contract: chains use a counter-based generator (numpy Philox)
 so that the same seed yields the same trajectory on every platform.  The
 draw order per step is fixed and documented on each step function; tests
 and the CLI rely on it.
+
+The up/down draws are the scalar calls of updown_draws, which stays as
+the reference; updown_chunk decodes the same values for up to
+UPDOWN_CHUNK steps at a time from one random_raw block of 64-bit Philox
+words, mirroring numpy's internals:
+
+- next_uint32 returns the low half of a word and keeps the high half
+  for the next 32-bit draw (has_uint32, uinteger);
+- integers(n) for 2 <= n < 2^32 is Lemire's method on one 32-bit draw u:
+  the vertex is (u*n) >> 32, redrawn while (u*n) mod 2^32 is below
+  (2^32 - n) mod n; integers(1) draws nothing;
+- integers(2) is the top bit of a 32-bit draw, so after a vertex that
+  took a word's low half it is bit 63 of that word;
+- random() is (w >> 11) * 2^-53 of a whole word, so random() <= 1/2
+  holds exactly when (w >> 11) <= 2^52.
+
+So a step takes two words, and the chunk is decoded with numpy array
+operations when no vertex draw is rejected, n > 1 and no high half is
+kept at entry; otherwise the same words are decoded one draw at a time
+in Python.  The product u*n is exact in uint64 only for n < 2^32; from
+2^32 on the scalar calls are used.  Either way the generator ends in
+the state the scalar calls leave: counter, buffer, buffer_pos,
+has_uint32 and uinteger.
 """
 
 from __future__ import annotations
@@ -60,12 +83,16 @@ def updown_result(values: list[int], adj, k: int, v: int,
                   delta: int) -> bool:
     """The up/down move rule: set values[v] += delta in place iff the
     result is still a k-height (given that values is one); return
-    whether it moved.  adj is graph.adjacency()."""
-    new = values[v] + delta
+    whether it moved.  adj is graph.adjacency().  Every neighbour lies
+    within 1 of values[v], so the move breaks an edge exactly when a
+    neighbour sits at values[v] - delta."""
+    old = values[v]
+    new = old + delta
     if not 0 <= new <= k:
         return False
+    bad = old - delta
     for u in adj[v]:
-        if abs(values[u] - new) > 1:
+        if values[u] == bad:
             return False
     values[v] = new
     return True
@@ -80,14 +107,148 @@ def updown_draws(rng: np.random.Generator, n: int) -> tuple[int, int, bool]:
     return v, delta, float(rng.random()) <= 0.5
 
 
-def step_updown(state: ChainState) -> ChainState:
-    """One lazy up/down transition: the draws of updown_draws, then the
-    move iff p <= 1/2 and the result is a valid k-height."""
-    v, delta, move = updown_draws(state.rng, state.graph.n)
-    if move:
-        updown_result(state.values, state.graph.adjacency(), state.k, v,
-                      delta)
-    state.step_count += 1
+#: up/down steps decoded per random_raw block: two 64-bit words a step,
+#: 64 KiB of words
+UPDOWN_CHUNK = 4096
+
+#: fewer steps than this take the scalar updown_draws calls (~6 us a
+#: step), which cost less than the fixed numpy and generator-state work
+#: of one decoded chunk (~20 us on rect:16x16)
+UPDOWN_MIN_CHUNK = 4
+
+_LOW32 = 0xFFFFFFFF
+
+
+def _land(bg, entry: dict, words: int, has: int, half: int) -> None:
+    """Leave the bit generator where `words` 64-bit draws from the entry
+    state and a kept 32-bit half (has, half) put it."""
+    bg.state = entry
+    bg.random_raw(words)
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = has, half
+    bg.state = state
+
+
+def _decode_sequential(bg, words: list[int], n: int, m: int, has: int,
+                       half: int):
+    """The draws of m up/down steps from the given words, one numpy draw
+    at a time (next_uint32, Lemire, next_double), drawing more words
+    when they run out.  Returns the draw lists and, per step, the words
+    used and the kept half after it."""
+    vs, signs, moves, ends = [], [], [], []
+    used = 0
+    threshold = (1 << 32) % n
+
+    def word():
+        nonlocal used
+        if used == len(words):
+            words.extend(bg.random_raw(m + 1).tolist())
+        used += 1
+        return words[used - 1]
+
+    def next32():
+        nonlocal has, half
+        if has:
+            has = 0
+            return half
+        w = word()
+        has, half = 1, w >> 32
+        return w & _LOW32
+
+    for _ in range(m):
+        v = 0
+        if n > 1:
+            prod = next32() * n
+            while (prod & _LOW32) < threshold:
+                prod = next32() * n
+            v = prod >> 32
+        vs.append(v)
+        signs.append(next32() >> 31)
+        moves.append(word() >> 11 <= 1 << 52)
+        ends.append((used, has, half))
+    return vs, signs, moves, ends
+
+
+def updown_chunk(rng: np.random.Generator, n: int, m: int):
+    """The draws of m calls of updown_draws(rng, n) as arrays (vertices,
+    offsets, moves) and a function settle(j) that puts the generator
+    back to where the first j of those calls leave it; on return it is
+    where all m leave it.  See the module docstring for the decoding."""
+    bg = rng.bit_generator
+    entry = bg.state
+    if not 1 <= n < 1 << 32:
+        draws = np.array([updown_draws(rng, n) for _ in range(m)],
+                         dtype=np.int64).reshape(m, 3)
+
+        def settle(j: int) -> None:
+            bg.state = entry
+            for _ in range(j):
+                updown_draws(rng, n)
+
+        return draws[:, 0], draws[:, 1], draws[:, 2] == 1, settle
+
+    raw = bg.random_raw(2 * m)
+    first = raw[0::2]
+    prod = (first & _LOW32) * np.uint64(n)
+    threshold = (1 << 32) % n
+    if n > 1 and not entry["has_uint32"] and not (
+            threshold and ((prod & _LOW32) < threshold).any()):
+        vs = (prod >> 32).astype(np.int64)
+        signs = (first >> 63).astype(np.int64)
+        moves = raw[1::2] >> 11 <= np.uint64(1 << 52)
+
+        def end(j: int):  # (words used, has_uint32, uinteger) after j
+            if j == 0:
+                return 0, entry["has_uint32"], entry["uinteger"]
+            return 2 * j, 0, int(first[j - 1] >> 32)
+
+        state = bg.state
+        state["has_uint32"], state["uinteger"] = end(m)[1:]
+        bg.state = state
+    else:
+        words = raw.tolist()
+        vs, signs, moves, ends = _decode_sequential(
+            bg, words, n, m, entry["has_uint32"], entry["uinteger"])
+        vs, signs = np.array(vs, np.int64), np.array(signs, np.int64)
+        moves = np.array(moves, bool)
+        ends.insert(0, (0, entry["has_uint32"], entry["uinteger"]))
+        end = ends.__getitem__
+        _land(bg, entry, *end(m))
+
+    def settle(j: int) -> None:
+        _land(bg, entry, *end(j))
+
+    return vs, 2 * signs - 1, moves, settle
+
+
+def updown_moves(rng: np.random.Generator, n: int, m: int):
+    """The accepted moves of m up/down steps as an iterator of (step,
+    vertex, offset) triples, and settle(j) for a caller that stops after
+    the move at step j - 1: it leaves the generator where the draws of
+    the first j steps do.  From UPDOWN_MIN_CHUNK steps on the draws come
+    from updown_chunk; below it from updown_draws, drawn as the iterator
+    advances, so stopping leaves the generator there already."""
+    if m < UPDOWN_MIN_CHUNK:
+        draws = (updown_draws(rng, n) for _ in range(m))
+        return ((j, v, delta) for j, (v, delta, move) in enumerate(draws)
+                if move), lambda j: None
+    vs, ds, moves, settle = updown_chunk(rng, n, m)
+    (at,) = np.nonzero(moves)
+    return zip(at.tolist(), vs[at].tolist(), ds[at].tolist()), settle
+
+
+def step_updown(state: ChainState, steps: int = 1) -> ChainState:
+    """`steps` lazy up/down transitions: the draws of updown_draws, then
+    the move iff p <= 1/2 and the result is a valid k-height.  The draws
+    come a chunk at a time from updown_moves; only accepted moves are
+    visited."""
+    values, adj, k = state.values, state.graph.adjacency(), state.k
+    for done in range(0, steps, UPDOWN_CHUNK):
+        moves, _ = updown_moves(state.rng, state.graph.n,
+                                min(UPDOWN_CHUNK, steps - done))
+        for _, v, delta in moves:
+            updown_result(values, adj, k, v, delta)
+    state.step_count += steps
     return state
 
 
@@ -161,26 +322,29 @@ class BlockSampler:
             values[v] = x
 
 
-def step_block(state: ChainState, sampler: BlockSampler) -> ChainState:
-    """One lazy block transition.
+def step_block(state: ChainState, sampler: BlockSampler,
+               steps: int = 1) -> ChainState:
+    """`steps` lazy block transitions.
 
-    Draw order: block draw uniform over total multiplicity, filling index
-    uniform over the admissible fillings (lexicographic, as
+    Draw order per step: block draw uniform over total multiplicity,
+    filling index uniform over the admissible fillings (lexicographic, as
     enumerate_fillings lists them), then p.  The filling replaces the
     block iff p <= 1/2; only then is it unranked.  Raises
     EnumerationCapError when the count reaches 2^63, past the int64
     index draw.
     """
-    r = int(state.rng.integers(sampler.family.total_count))
-    b = sampler.pick_block(r)
-    count, unrank = sampler.ranked(b, state.values)
-    if count >= 1 << 63:
-        raise EnumerationCapError(
-            f"{count} fillings exceed the int64 index draw")
-    idx = int(state.rng.integers(count))
-    if float(state.rng.random()) <= 0.5:
-        sampler.apply(state.values, b, unrank(idx))
-    state.step_count += 1
+    rng = state.rng
+    for _ in range(steps):
+        r = int(rng.integers(sampler.family.total_count))
+        b = sampler.pick_block(r)
+        count, unrank = sampler.ranked(b, state.values)
+        if count >= 1 << 63:
+            raise EnumerationCapError(
+                f"{count} fillings exceed the int64 index draw")
+        idx = int(rng.integers(count))
+        if float(rng.random()) <= 0.5:
+            sampler.apply(state.values, b, unrank(idx))
+        state.step_count += 1
     return state
 
 
@@ -188,13 +352,16 @@ def run(state: ChainState, steps: int, stepper=step_updown,
         emit_every: int = 0):
     """Iterate the chain; optionally yield intermediate states.
 
-    With emit_every > 0, returns a list of (step, KHeight) snapshots
-    (including the final state); otherwise returns the state.
+    stepper(state, m) makes m steps; it is called once per stretch up to
+    the next snapshot.  With emit_every > 0, returns a list of (step,
+    KHeight) snapshots (including the final state); otherwise returns
+    the state.
     """
     snaps = []
-    for i in range(steps):
-        stepper(state)
-        if emit_every and (i + 1) % emit_every == 0:
+    every = emit_every or steps or 1
+    for done in range(0, steps, every):
+        stepper(state, min(every, steps - done))
+        if emit_every and done + every <= steps:
             snaps.append((state.step_count, state.current))
     if emit_every:
         if not snaps or snaps[-1][0] != state.step_count:

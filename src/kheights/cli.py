@@ -218,7 +218,7 @@ def cmd_run(args) -> int:
     stepper = step_updown
     if args.chain == "block":
         sampler = BlockSampler(graph, _block_family(graph), args.k)
-        stepper = lambda st: step_block(st, sampler)  # noqa: E731
+        stepper = lambda st, m: step_block(st, sampler, m)  # noqa: E731
     lines = [json.dumps({"provenance": _provenance(args.seed, graph),
                          "k": args.k, "chain": args.chain})]
     if args.steps > 0:

@@ -18,7 +18,14 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_flow
 
-from .chains import BlockSampler, make_rng, updown_draws, updown_result
+from .chains import (
+    UPDOWN_CHUNK,
+    UPDOWN_MIN_CHUNK,
+    BlockSampler,
+    make_rng,
+    updown_moves,
+    updown_result,
+)
 from .enumeration import EnumerationCapError
 from .graphs import Graph
 from .heights import KHeight
@@ -169,16 +176,36 @@ class CoupledState:
         return self.low == self.high
 
 
-def coupled_updown_step(coupled: CoupledState) -> CoupledState:
-    """Shared draws (chains.updown_draws) for both trajectories; each side
-    accepts by its own validity test.  Monotone in practice (verified by
-    tests)."""
-    v, delta, move = updown_draws(coupled.rng, coupled.graph.n)
-    if move:
-        adj = coupled.graph.adjacency()
-        updown_result(coupled.low, adj, coupled.k, v, delta)
-        updown_result(coupled.high, adj, coupled.k, v, delta)
-    coupled.step_count += 1
+def coupled_updown_step(coupled: CoupledState,
+                        steps: int = 1) -> CoupledState:
+    """Up to `steps` coupled up/down transitions with shared draws
+    (chains.updown_draws, a chunk at a time from chains.updown_moves);
+    each side accepts by its own validity test.  Monotone in practice
+    (verified by tests).  Stops right after a step at which low == high;
+    the generator is then left where the scalar draws of the steps made
+    leave it.  Chunks double from UPDOWN_MIN_CHUNK to UPDOWN_CHUNK steps,
+    so a pair that meets early decodes few draws past its meeting."""
+    low, high, k = coupled.low, coupled.high, coupled.k
+    adj, n = coupled.graph.adjacency(), coupled.graph.n
+    differ = sum(a != b for a, b in zip(low, high))
+    done, size = 0, UPDOWN_MIN_CHUNK
+    while done < steps:
+        m = min(size, steps - done) if differ else 1
+        size = min(2 * size, UPDOWN_CHUNK)
+        moves, settle = updown_moves(coupled.rng, n, m)
+        for j, v, delta in moves:
+            was = low[v] != high[v]
+            updown_result(low, adj, k, v, delta)
+            updown_result(high, adj, k, v, delta)
+            differ += (low[v] != high[v]) - was
+            if not differ:
+                m = j + 1
+                settle(m)
+                break
+        done += m
+        if not differ:
+            break
+    coupled.step_count += done
     return coupled
 
 
@@ -241,10 +268,11 @@ def expected_coupled_updown_distance(x: KHeight, y: KHeight) -> Fraction:
 # coupling from the past
 
 
-#: time slots cftp_sample may store before it gives up: 6 bytes each (an
-#: int32 vertex, an int8 sign and an int8 move flag), 192 MiB at the cap,
-#: plus ~16 bytes a slot while an epoch is drawn (256 MiB for the last);
-#: rect:128x128 at k=3 coalesced at the cap with seed 0
+#: time slots cftp_sample may cover before it gives up; it stores the
+#: accepted ones only, 5 bytes each (an int32 vertex and an int8 sign):
+#: at most 160 MiB at the cap, about half that as half the slots are
+#: lazy, plus ~16 bytes a slot while an epoch is drawn (256 MiB for the
+#: last); rect:128x128 at k=3 coalesced at the cap with seed 0
 CFTP_MAX_SLOTS = 1 << 25
 
 #: coupled steps per coalescence trial before coupling_time_estimate
@@ -258,9 +286,11 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
     Monotone grand coupling of the up/down chain run from the all-zero
     and all-k states, from time -T to 0 with T doubling per epoch; the
     randomness of each time slot is fixed once and reused by every
-    epoch (slot arrays are keyed by the epoch that created them).
-    Raises EnumerationCapError before drawing an epoch that would store
-    more than CFTP_MAX_SLOTS slots.
+    epoch (slot arrays are keyed by the epoch that created them).  Only
+    the accepted slots are kept, and once the two chains meet at a
+    segment boundary the rest of that run steps one of them.  Raises
+    EnumerationCapError before drawing an epoch that would cover more
+    than CFTP_MAX_SLOTS slots.
     """
     if k == 0:
         return KHeight.constant(graph, k, 0)
@@ -274,7 +304,8 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
         vs = rng.integers(0, n, size=length, dtype=np.int64).astype(np.int32)
         ds = rng.integers(0, 2, size=length, dtype=np.int64).astype(np.int8)
         acc = rng.random(size=length) <= 0.5
-        return [array(c, a.tobytes()) for c, a in zip("ibb", (vs, ds, acc))]
+        return array("i", vs[acc].tobytes()), array("b", (2 * ds[acc] - 1)
+                                                     .tobytes())
 
     for e in count():
         if 1 << e > CFTP_MAX_SLOTS:
@@ -285,10 +316,13 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
         lo = [0] * n
         hi = [k] * n
         # oldest randomness first: epoch e covers the earliest slots
-        for vs, ds, acc in reversed(segments):
-            for v, d, a in zip(vs, ds, acc):
-                if a:
-                    delta = 1 if d else -1
+        for vs, ds in reversed(segments):
+            if lo == hi:  # coalesced: the rest of the run is one chain
+                hi = lo
+                for v, delta in zip(vs, ds):
+                    updown_result(lo, adj, k, v, delta)
+            else:
+                for v, delta in zip(vs, ds):
                     updown_result(lo, adj, k, v, delta)
                     updown_result(hi, adj, k, v, delta)
         if lo == hi:
@@ -319,11 +353,12 @@ def coupling_time_estimate(graph: Graph, k: int, mode: str = "updown",
                 entropy=(seed, t)).generate_state(1)[0].item()),
         )
         while not coupled.coalesced:
-            if coupled.step_count >= COALESCENCE_MAX_STEPS:
+            left = COALESCENCE_MAX_STEPS - coupled.step_count
+            if left <= 0:
                 raise EnumerationCapError(f"no coalescence within "
                                           f"{COALESCENCE_MAX_STEPS} steps")
             if mode == "updown":
-                coupled_updown_step(coupled)
+                coupled_updown_step(coupled, left)
             else:
                 coupled_block_step(coupled, sampler)
         times.append(coupled.step_count)

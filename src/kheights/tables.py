@@ -10,7 +10,7 @@ it pins the block.  It runs in float64 and refuses (EnumerationCapError)
 any input whose entries it cannot bound below 2^53.  The outermost
 boundary axis is streamed: a type-1 cycle runs one pass per value of its
 first vertex, and the 4x4 grid one (t, t, t) slice per top boundary
-path, of which rect_divergence holds three at a time.  Then the
+path, of which rect_max holds three at a time.  Then the
 expected-weight gap is maximized over all extensible cover pairs; floats
 are only a prefilter there, and every candidate maximum is confirmed
 with exact integers.
@@ -48,6 +48,46 @@ _PREFILTER_MARGIN = 1e-9
 #: k=6 needs 149^3 = 3.3e6, k=7 already 176^3 = 5.5e6
 RECT_SLICE_CAP = 1 << 22
 
+#: multiply-adds one _frontier_dp call may spend, and a catalogue case
+#: on all its passes together (_case_stats checks before it builds
+#: anything): a few minutes at the ~6e8 a second of hex k=10, which
+#: spends 9e8; hex k=19 spends 1.05e11.  The rect table is bounded per
+#: slice by RECT_SLICE_CAP.
+FRONTIER_WORK_CAP = 1 << 37
+
+
+def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
+    """(entries of the largest tensor, multiply-adds) of one _frontier_dp
+    call with S states per layer, for axes given as (size, masked
+    layers): a matmul per layer on the frontier, which grows by each
+    axis at its first masked layer, and one for the closing axes."""
+    last = layers - 1
+    closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
+    joined = math.prod(n for a, (n, _) in enumerate(axes) if a not in closing)
+    closed = math.prod(axes[a][0] for a in closing)
+    work, frontier = 0, 1
+    for layer in range(layers):
+        if layer:
+            work += 2 * frontier * S * S
+        frontier *= math.prod(n for a, (n, m) in enumerate(axes)
+                              if a not in closing and min(m) == layer)
+    work += 2 * frontier * S * closed
+    return max(joined * S, joined * closed, closed * S), work
+
+
+def _check_frontier(S: int, layers: int, axes, calls: int = 1) -> None:
+    """Raise EnumerationCapError when a tensor of `calls` _frontier_dp
+    calls of this shape would exceed ENUMERATION_CAP entries, or the
+    calls together FRONTIER_WORK_CAP multiply-adds."""
+    largest, work = _frontier_cost(S, layers, axes)
+    if largest > ENUMERATION_CAP:
+        raise EnumerationCapError(f"frontier tensor of {largest} entries "
+                                  f"exceeds the cap {ENUMERATION_CAP}")
+    if calls * work > FRONTIER_WORK_CAP:
+        raise EnumerationCapError(
+            f"{calls * work} multiply-adds exceed the cap "
+            f"{FRONTIER_WORK_CAP}")
+
 
 def _frontier_dp(T, weight, layers: int, axes):
     """Exact (count, weight) float64 tensors of a layered filling DP over
@@ -58,18 +98,13 @@ def _frontier_dp(T, weight, layers: int, axes):
     {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
     joins the frontier at its first mask, or, if masked at the last layer
     only, is contracted with that layer by one matmul.  Raises
-    EnumerationCapError before allocating a tensor of more than
-    ENUMERATION_CAP entries or when an entry could reach 2^53.
+    EnumerationCapError before allocating (_check_frontier) or when an
+    entry could reach 2^53.
     """
     S, last = len(weight), layers - 1
     sizes = [size for size, _ in axes]
     closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
-    joined = math.prod(n for a, n in enumerate(sizes) if a not in closing)
-    closed = math.prod(sizes[a] for a in closing)
-    largest = max(joined * S, joined * closed, closed * S)
-    if largest > ENUMERATION_CAP:
-        raise EnumerationCapError(f"frontier tensor of {largest} entries "
-                                  f"exceeds the cap {ENUMERATION_CAP}")
+    _check_frontier(S, layers, axes)
 
     def top(a):
         return int(np.abs(np.asarray(a)).max(initial=0))
@@ -123,9 +158,17 @@ def _case_stats(tag: CaseTag, k: int):
     """(count, weight) tensors of a catalog case indexed by the pivot
     value and then the value of each slot of case_slots(tag)."""
     K, d = k + 1, tag.d
+    # masked layers of the pivot axis, then of each boundary slot; the
+    # budget is checked before the K x K step matrix is built
+    at = [[i - 1 for i in tag.neighbor_labels]]
+    at += [[bv] for bv in case_slots(tag)]
+    if tag.kind == "type2":
+        _check_frontier(K, d, [(K, m) for m in at])
+    else:
+        _check_frontier(K, d, [(K, m) for m in at] + [(1, [0, d - 1])],
+                        calls=K)
     P = step_matrix(np.arange(K), dtype=np.int64)
-    axes = [(K, {i - 1: P for i in tag.neighbor_labels})]
-    axes += [(K, {bv: P}) for bv in case_slots(tag)]
+    axes = [(K, dict.fromkeys(m, P)) for m in at]
     if tag.kind == "type2":
         return _frontier_dp(P, np.arange(K), d, axes)
     # a cycle is summed over the value f of its first vertex, one pass
@@ -300,10 +343,12 @@ def rect_stat_tensors(k: int):
     return rows, top_slice
 
 
-def rect_divergence(k: int) -> DivergenceReport:
-    """Full divergence maximization for the 4x4 block: maximum over the
-    two symmetry-distinct pivot positions (path end and path middle) of
-    the top boundary path.
+@cache
+def rect_max(k: int) -> Fraction:
+    """Exact E_max of the 4x4 block: the maximum over the two
+    symmetry-distinct pivot positions (path end and path middle) of the
+    top boundary path.  Memoised on k, like case_divergence: the table
+    and the bound ask for the same k.
 
     The top paths are visited in colexicographic order (last cell most
     significant), where a path's cover partners, its first or second
@@ -328,13 +373,20 @@ def rect_divergence(k: int) -> DivergenceReport:
                     yield (pos, i), window[i], window[j]
 
     e_max, _, _ = maximize_gap(pairs())
+    return e_max
+
+
+def rect_divergence(k: int) -> DivergenceReport:
+    """Divergence row of the 4x4 block: the memoised rect_max and the
+    block and boundary counts."""
+    rows, _ = rect_stat_tensors(k)
     # the block's fillings: the same DP without boundary axes
     omega_block, _ = _frontier_dp(step_matrix(rows, dtype=np.int64),
                                   rows.sum(axis=1), 4, [])
     return DivergenceReport(
         k=k, case_id="rect4x4", omega_block=int(omega_block),
         omega_boundary=count_rect_extensible(k),
-        e_max=e_max, witness=None,
+        e_max=rect_max(k), witness=None,
     )
 
 

@@ -42,3 +42,11 @@ def small_graphs(max_n: int = 5):
         (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)]),
     ]
     return [Graph.from_edges(n, e) for n, e in specs if n <= max_n]
+
+
+def rng_fields(rng) -> tuple:
+    """Every field of a Philox generator's state, for equality checks."""
+    s = rng.bit_generator.state
+    return (s["state"]["counter"].tolist(), s["state"]["key"].tolist(),
+            s["buffer"].tolist(), s["buffer_pos"], s["has_uint32"],
+            s["uinteger"])

@@ -1,10 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies
 
-from conftest import small_graphs
+from conftest import rng_fields, small_graphs
 from kheights import chains
 from kheights.chains import (
     BlockSampler,
@@ -15,6 +16,8 @@ from kheights.chains import (
     step_updown,
     transition_matrix_block,
     transition_matrix_updown,
+    updown_chunk,
+    updown_draws,
     updown_result,
 )
 from kheights.enumeration import EnumerationCapError, dp_shape
@@ -114,6 +117,98 @@ def test_chain_stays_valid_every_step(path3):
     for _ in range(2000):
         step_updown(st)
         assert is_valid(path3, st.current.values, 2)
+
+
+#: vertex counts for the draw decoder: n=1 draws no vertex, 36 and 256
+#: are the benchmark grids, the last two reject a quarter and about half
+#: of the vertex draws, and 2^32 and past take the scalar path
+DECODER_NS = [1, 2, 3, 36, 256, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32,
+              2 ** 33 + 5]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=strategies.sampled_from(DECODER_NS),
+       seed=strategies.integers(0, 2 ** 32 - 1),
+       skip=strategies.integers(0, 5), kept=strategies.booleans(),
+       m=strategies.integers(0, 300), data=strategies.data())
+def test_updown_chunk_matches_scalar_draws(n, seed, skip, kept, m, data):
+    """m decoded draws equal m updown_draws calls, and settle(j) leaves
+    the generator, field by field, where j calls do."""
+    a, b = make_rng(seed), make_rng(seed)
+    for rng in (a, b):
+        rng.bit_generator.random_raw(skip)  # any buffer position
+        if kept:
+            rng.integers(7)  # a high half kept for the next 32-bit draw
+    entry = rng_fields(a)
+    want = [updown_draws(a, n) for _ in range(m)]
+    vs, ds, moves, settle = updown_chunk(b, n, m)
+    assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
+    assert rng_fields(b) == rng_fields(a)
+    j = data.draw(strategies.integers(0, m))
+    settle(j)
+    c = make_rng(seed)
+    c.bit_generator.random_raw(skip)
+    if kept:
+        c.integers(7)
+    assert rng_fields(c) == entry
+    for _ in range(j):
+        updown_draws(c, n)
+    assert rng_fields(b) == rng_fields(c)
+
+
+def test_updown_chunk_decodes_rejections_in_order():
+    # at n = 3 * 2^30 a quarter of the vertex draws are rejected; the
+    # decoded chunk still matches the scalar calls draw for draw
+    a, b = make_rng(3), make_rng(3)
+    n = 3 * 2 ** 30
+    want = [updown_draws(a, n) for _ in range(2000)]
+    vs, ds, moves, _ = updown_chunk(b, n, 2000)
+    assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
+    assert rng_fields(a) == rng_fields(b)
+
+
+def _scalar_updown(state, steps):
+    adj = state.graph.adjacency()
+    for _ in range(steps):
+        v, delta, move = updown_draws(state.rng, state.graph.n)
+        if move:
+            updown_result(state.values, adj, state.k, v, delta)
+    state.step_count += steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=strategies.sampled_from(small_graphs() + [make_toroidal_rect(4, 4)]),
+       k=strategies.integers(1, 3), seed=strategies.integers(0, 2 ** 32 - 1),
+       chunk=strategies.sampled_from([1, 3, 64, 4096]),
+       least=strategies.sampled_from([1, 4]),
+       pieces=strategies.lists(strategies.integers(0, 400), max_size=8))
+def test_chunked_updown_matches_scalar_trajectory(g, k, seed, chunk, least,
+                                                  pieces):
+    """step_updown over chunks, interleaved with single steps, follows the
+    scalar draws step by step and leaves the generator where they do."""
+    fast, slow = make_chain(g, k, seed), make_chain(g, k, seed)
+    with mock.patch.object(chains, "UPDOWN_CHUNK", chunk), \
+            mock.patch.object(chains, "UPDOWN_MIN_CHUNK", least):
+        for m in pieces:
+            step_updown(fast, m)
+            step_updown(fast)
+            _scalar_updown(slow, m + 1)
+            assert fast.values == slow.values
+            assert fast.step_count == slow.step_count
+            assert rng_fields(fast.rng) == rng_fields(slow.rng)
+
+
+def test_run_steps_in_stretches_between_snapshots(path3):
+    calls = []
+
+    def stepper(state, m):
+        calls.append(m)
+        step_updown(state, m)
+
+    snaps = run(make_chain(path3, 2, seed=1), 10, stepper, emit_every=4)
+    assert calls == [4, 4, 2]
+    assert [s for s, _ in snaps] == [4, 8, 10]
+    assert run(make_chain(path3, 2, seed=1), 0).step_count == 0
 
 
 def test_block_sampler_uniform_fillings(path3):

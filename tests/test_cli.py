@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -58,6 +59,21 @@ def test_tables_cap_exit():
     # one rect slice at k=7 has 176^3 entries, past RECT_SLICE_CAP:
     # refused before any slice is computed
     assert main(["tables", "--id", "rect", "--k", "7"]) == 4
+
+
+def test_tables_work_cap_exit_before_allocating():
+    # 1_3[1,2] at k=7401 passes the entry cap and the 2^53 bound, but its
+    # 7402 passes would take ~1.8e16 multiply-adds; it is refused before
+    # the 7402 x 7402 step matrix (~440 MB a temporary) is built
+    tracemalloc.start()
+    try:
+        code = main(["tables", "--id", "type1", "--k", "7401",
+                     "--case", "1_3[1,2]"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 16 * 2 ** 20
 
 
 def test_sample_slot_cap_exits_4(monkeypatch):

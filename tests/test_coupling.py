@@ -1,11 +1,15 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from kheights.chains import BlockSampler, make_rng, updown_result
+from conftest import rng_fields, small_graphs
+from kheights import chains, coupling
+from kheights.chains import BlockSampler, make_rng, updown_draws, updown_result
 from kheights.coupling import (
     CoupledState,
     DominanceError,
@@ -19,13 +23,14 @@ from kheights.coupling import (
     strassen_joint,
 )
 from kheights.divergence import expected_gap, iter_cover_pairs
-from kheights.enumeration import enumerate_fillings
+from kheights.enumeration import EnumerationCapError, enumerate_fillings
 from kheights.graphs import (
     CaseTag,
     Graph,
     boundary,
     make_case_graph,
     make_complete,
+    make_toroidal_rect,
     singleton_family,
 )
 from kheights.heights import KHeight, enumerate_heights, is_valid
@@ -145,6 +150,68 @@ def test_coupled_updown_monotone(path3):
         assert all(a <= b for a, b in zip(st.low, st.high))
         assert is_valid(path3, st.low, 2) and is_valid(path3, st.high, 2)
     assert st.low == st.high
+
+
+def _scalar_coupled_step(st):
+    v, delta, move = updown_draws(st.rng, st.graph.n)
+    if move:
+        adj = st.graph.adjacency()
+        updown_result(st.low, adj, st.k, v, delta)
+        updown_result(st.high, adj, st.k, v, delta)
+    st.step_count += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=strategies.sampled_from(small_graphs() + [make_toroidal_rect(3, 3)]),
+       k=strategies.integers(1, 3), seed=strategies.integers(0, 2 ** 32 - 1),
+       chunk=strategies.sampled_from([1, 3, 64, 4096]),
+       least=strategies.sampled_from([1, 4]),
+       pieces=strategies.lists(strategies.integers(1, 300), min_size=1,
+                               max_size=20))
+def test_chunked_coupled_step_matches_scalar(g, k, seed, chunk, least,
+                                             pieces):
+    """Chunked coupled steps, interleaved with single ones, follow the
+    scalar draws and stop right after the step at which the two sides
+    meet, with the generator where the scalar steps leave it."""
+    def start():
+        return CoupledState(low=KHeight.constant(g, k, 0),
+                            high=KHeight.constant(g, k, k),
+                            rng=make_rng(seed))
+
+    fast, slow = start(), start()
+    with mock.patch.object(coupling, "UPDOWN_CHUNK", chunk), \
+            mock.patch.object(chains, "UPDOWN_MIN_CHUNK", least):
+        for m in pieces:
+            for steps in (m, 1):
+                if fast.coalesced:
+                    break
+                coupled_updown_step(fast, steps)
+                for _ in range(steps):
+                    _scalar_coupled_step(slow)
+                    if slow.coalesced:
+                        break
+                assert (fast.low, fast.high) == (slow.low, slow.high)
+                assert fast.step_count == slow.step_count
+                assert rng_fields(fast.rng) == rng_fields(slow.rng)
+
+
+def test_coalescence_cap_is_exact(monkeypatch):
+    # a trial that meets at step t passes with the cap at t and exits 4
+    # with the cap at t - 1, as the one-step-at-a-time loop did
+    g = make_toroidal_rect(3, 3)
+    t = coupling_time_estimate(g, 2, trials=1, seed=5)["times"][0]
+    monkeypatch.setattr(coupling, "COALESCENCE_MAX_STEPS", t)
+    assert coupling_time_estimate(g, 2, trials=1, seed=5)["times"] == [t]
+    monkeypatch.setattr(coupling, "COALESCENCE_MAX_STEPS", t - 1)
+    with pytest.raises(EnumerationCapError):
+        coupling_time_estimate(g, 2, trials=1, seed=5)
+
+
+def test_coupled_step_from_a_met_pair_makes_one_step(path3):
+    h = KHeight.constant(path3, 2, 1)
+    st = CoupledState(low=h, high=h, rng=make_rng(4))
+    coupled_updown_step(st, 50)
+    assert st.step_count == 1 and st.coalesced
 
 
 def test_coupled_state_requires_order(path3):

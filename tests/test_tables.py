@@ -316,6 +316,7 @@ def test_rect_divergence_computes_each_slice_once(k, monkeypatch):
         return rows, counted
 
     monkeypatch.setattr(tables, "rect_stat_tensors", counting)
+    tables.rect_max.cache_clear()  # compute, not recall
     tables.rect_divergence(k)
     assert sorted(computed) == list(range(len(rect_stat_tensors(k)[0])))
 
@@ -323,6 +324,7 @@ def test_rect_divergence_computes_each_slice_once(k, monkeypatch):
 def test_rect_divergence_memory_is_a_few_slices():
     # t = 68 at k=3: one (count, weight) slice pair is 5 MB, the two
     # t^4 tensors it replaced 340 MB
+    tables.rect_max.cache_clear()  # compute, not recall
     tracemalloc.start()
     try:
         tables.rect_divergence(3)
