@@ -22,12 +22,12 @@ words, mirroring numpy's internals:
   holds exactly when (w >> 11) <= 2^52.
 
 So a step takes two words, and the chunk is decoded with numpy array
-operations when no vertex draw is rejected, n > 1 and no high half is
-kept at entry; otherwise the same words are decoded one draw at a time
-in Python.  The product u*n is exact in uint64 only for n < 2^32; from
-2^32 on the scalar calls are used.  Either way the generator ends in
-the state the scalar calls leave: counter, buffer, buffer_pos,
-has_uint32 and uinteger.
+operations when 1 < n < 2^32 (the product u*n is exact in uint64 only
+for n < 2^32), no high half is kept at entry and no vertex draw is
+rejected.  Otherwise the generator is put back to its entry state and
+the chunk takes the scalar calls.  Either way it ends in the state the
+scalar calls leave: counter, buffer, buffer_pos, has_uint32 and
+uinteger.
 """
 
 from __future__ import annotations
@@ -119,56 +119,6 @@ UPDOWN_MIN_CHUNK = 4
 _LOW32 = 0xFFFFFFFF
 
 
-def _land(bg, entry: dict, words: int, has: int, half: int) -> None:
-    """Leave the bit generator where `words` 64-bit draws from the entry
-    state and a kept 32-bit half (has, half) put it."""
-    bg.state = entry
-    bg.random_raw(words)
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = has, half
-    bg.state = state
-
-
-def _decode_sequential(bg, words: list[int], n: int, m: int, has: int,
-                       half: int):
-    """The draws of m up/down steps from the given words, one numpy draw
-    at a time (next_uint32, Lemire, next_double), drawing more words
-    when they run out.  Returns the draw lists and, per step, the words
-    used and the kept half after it."""
-    vs, signs, moves, ends = [], [], [], []
-    used = 0
-    threshold = (1 << 32) % n
-
-    def word():
-        nonlocal used
-        if used == len(words):
-            words.extend(bg.random_raw(m + 1).tolist())
-        used += 1
-        return words[used - 1]
-
-    def next32():
-        nonlocal has, half
-        if has:
-            has = 0
-            return half
-        w = word()
-        has, half = 1, w >> 32
-        return w & _LOW32
-
-    for _ in range(m):
-        v = 0
-        if n > 1:
-            prod = next32() * n
-            while (prod & _LOW32) < threshold:
-                prod = next32() * n
-            v = prod >> 32
-        vs.append(v)
-        signs.append(next32() >> 31)
-        moves.append(word() >> 11 <= 1 << 52)
-        ends.append((used, has, half))
-    return vs, signs, moves, ends
-
-
 def updown_chunk(rng: np.random.Generator, n: int, m: int):
     """The draws of m calls of updown_draws(rng, n) as arrays (vertices,
     offsets, moves) and a function settle(j) that puts the generator
@@ -176,49 +126,42 @@ def updown_chunk(rng: np.random.Generator, n: int, m: int):
     where all m leave it.  See the module docstring for the decoding."""
     bg = rng.bit_generator
     entry = bg.state
-    if not 1 <= n < 1 << 32:
-        draws = np.array([updown_draws(rng, n) for _ in range(m)],
-                         dtype=np.int64).reshape(m, 3)
+    if 1 < n < 1 << 32 and not entry["has_uint32"]:
+        raw = bg.random_raw(2 * m)
+        first = raw[0::2]
+        prod = (first & _LOW32) * np.uint64(n)
+        threshold = (1 << 32) % n
+        if not (threshold and ((prod & _LOW32) < threshold).any()):
+            def land(j: int) -> None:
+                # j steps take 2j words; the offset draw of the last one
+                # used the kept high half of its vertex word, which stays
+                # in uinteger
+                state = bg.state
+                state["has_uint32"] = 0
+                state["uinteger"] = int(first[j - 1] >> 32)
+                bg.state = state
 
-        def settle(j: int) -> None:
-            bg.state = entry
-            for _ in range(j):
-                updown_draws(rng, n)
+            def settle(j: int) -> None:
+                bg.state = entry
+                if j:
+                    bg.random_raw(2 * j)
+                    land(j)
 
-        return draws[:, 0], draws[:, 1], draws[:, 2] == 1, settle
-
-    raw = bg.random_raw(2 * m)
-    first = raw[0::2]
-    prod = (first & _LOW32) * np.uint64(n)
-    threshold = (1 << 32) % n
-    if n > 1 and not entry["has_uint32"] and not (
-            threshold and ((prod & _LOW32) < threshold).any()):
-        vs = (prod >> 32).astype(np.int64)
-        signs = (first >> 63).astype(np.int64)
-        moves = raw[1::2] >> 11 <= np.uint64(1 << 52)
-
-        def end(j: int):  # (words used, has_uint32, uinteger) after j
-            if j == 0:
-                return 0, entry["has_uint32"], entry["uinteger"]
-            return 2 * j, 0, int(first[j - 1] >> 32)
-
-        state = bg.state
-        state["has_uint32"], state["uinteger"] = end(m)[1:]
-        bg.state = state
-    else:
-        words = raw.tolist()
-        vs, signs, moves, ends = _decode_sequential(
-            bg, words, n, m, entry["has_uint32"], entry["uinteger"])
-        vs, signs = np.array(vs, np.int64), np.array(signs, np.int64)
-        moves = np.array(moves, bool)
-        ends.insert(0, (0, entry["has_uint32"], entry["uinteger"]))
-        end = ends.__getitem__
-        _land(bg, entry, *end(m))
+            if m:
+                land(m)
+            return ((prod >> 32).astype(np.int64),
+                    2 * (first >> 63).astype(np.int64) - 1,
+                    raw[1::2] >> 11 <= np.uint64(1 << 52), settle)
+        bg.state = entry
+    draws = np.array([updown_draws(rng, n) for _ in range(m)],
+                     dtype=np.int64).reshape(m, 3)
 
     def settle(j: int) -> None:
-        _land(bg, entry, *end(j))
+        bg.state = entry
+        for _ in range(j):
+            updown_draws(rng, n)
 
-    return vs, 2 * signs - 1, moves, settle
+    return draws[:, 0], draws[:, 1], draws[:, 2] == 1, settle
 
 
 def updown_moves(rng: np.random.Generator, n: int, m: int):

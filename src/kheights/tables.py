@@ -50,10 +50,12 @@ RECT_SLICE_CAP = 1 << 22
 
 #: multiply-adds one _frontier_dp call may spend, and a catalogue case
 #: on all its passes together (_case_stats checks before it builds
-#: anything): a few minutes at the ~6e8 a second of hex k=10, which
-#: spends 9e8; hex k=19 spends 1.05e11.  The rect table is bounded per
-#: slice by RECT_SLICE_CAP.
-FRONTIER_WORK_CAP = 1 << 37
+#: anything).  The rate runs from ~1.5e9 a second (d=7 cycles, k=19) to
+#: ~2.2e10 (d=3, k=925) on a 2-core x86 box, so 2^42 = 4.4e12 is three
+#: minutes or more.  Every case within the entry cap and the 2^53 bound
+#: up to k=221 fits; hex k=19 spends 1.05e11.  The rect table
+#: is bounded per slice by RECT_SLICE_CAP.
+FRONTIER_WORK_CAP = 1 << 42
 
 
 def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
@@ -89,7 +91,7 @@ def _check_frontier(S: int, layers: int, axes, calls: int = 1) -> None:
             f"{FRONTIER_WORK_CAP}")
 
 
-def _frontier_dp(T, weight, layers: int, axes):
+def _frontier_dp(T, weight, layers: int, axes, checked: bool = False):
     """Exact (count, weight) float64 tensors of a layered filling DP over
     integer inputs, indexed by its boundary axes in list order.
 
@@ -98,13 +100,15 @@ def _frontier_dp(T, weight, layers: int, axes):
     {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
     joins the frontier at its first mask, or, if masked at the last layer
     only, is contracted with that layer by one matmul.  Raises
-    EnumerationCapError before allocating (_check_frontier) or when an
-    entry could reach 2^53.
+    EnumerationCapError before allocating (_check_frontier, unless the
+    caller has `checked` this shape already) or when an entry could
+    reach 2^53.
     """
     S, last = len(weight), layers - 1
     sizes = [size for size, _ in axes]
     closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
-    _check_frontier(S, layers, axes)
+    if not checked:
+        _check_frontier(S, layers, axes)
 
     def top(a):
         return int(np.abs(np.asarray(a)).max(initial=0))
@@ -170,7 +174,7 @@ def _case_stats(tag: CaseTag, k: int):
     P = step_matrix(np.arange(K), dtype=np.int64)
     axes = [(K, dict.fromkeys(m, P)) for m in at]
     if tag.kind == "type2":
-        return _frontier_dp(P, np.arange(K), d, axes)
+        return _frontier_dp(P, np.arange(K), d, axes, checked=True)
     # a cycle is summed over the value f of its first vertex, one pass
     # each: a size-1 axis pins vertex 0 to f and vertex d-1 within 1 of
     # it.  The passes count each filling once, so their sum stays below
@@ -178,7 +182,8 @@ def _case_stats(tag: CaseTag, k: int):
     I, cnt, wgt = np.eye(K, dtype=np.int64), 0, 0
     for f in range(K):
         first = (1, {0: I[f:f + 1], d - 1: P[f:f + 1]})
-        c, w = _frontier_dp(P, np.arange(K), d, axes + [first])
+        c, w = _frontier_dp(P, np.arange(K), d, axes + [first],
+                            checked=True)
         cnt, wgt = cnt + c[..., 0], wgt + w[..., 0]
     return cnt, wgt
 

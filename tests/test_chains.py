@@ -120,8 +120,8 @@ def test_chain_stays_valid_every_step(path3):
 
 
 #: vertex counts for the draw decoder: n=1 draws no vertex, 36 and 256
-#: are the benchmark grids, the last two reject a quarter and about half
-#: of the vertex draws, and 2^32 and past take the scalar path
+#: are the benchmark grids, 3 * 2^30 and 2^31 + 1 reject a quarter and
+#: about half of the vertex draws, and 2^32 and past take the scalar path
 DECODER_NS = [1, 2, 3, 36, 256, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32,
               2 ** 33 + 5]
 
@@ -158,13 +158,24 @@ def test_updown_chunk_matches_scalar_draws(n, seed, skip, kept, m, data):
 
 def test_updown_chunk_decodes_rejections_in_order():
     # at n = 3 * 2^30 a quarter of the vertex draws are rejected; the
-    # decoded chunk still matches the scalar calls draw for draw
+    # chunk falls back to the scalar calls and matches them draw for draw
     a, b = make_rng(3), make_rng(3)
     n = 3 * 2 ** 30
     want = [updown_draws(a, n) for _ in range(2000)]
     vs, ds, moves, _ = updown_chunk(b, n, 2000)
     assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
     assert rng_fields(a) == rng_fields(b)
+
+
+@pytest.mark.parametrize("n", [36, 256])
+def test_updown_chunk_decodes_benchmark_grids_without_scalar_calls(n):
+    # the grids the benchmark runs take the vector decode, not the
+    # scalar fallback
+    with mock.patch.object(chains, "updown_draws",
+                           side_effect=AssertionError("scalar call")):
+        vs, _, _, settle = updown_chunk(make_rng(1), n, 4096)
+        settle(100)
+    assert len(vs) == 4096
 
 
 def _scalar_updown(state, steps):

@@ -180,6 +180,7 @@ def test_chunked_coupled_step_matches_scalar(g, k, seed, chunk, least,
 
     fast, slow = start(), start()
     with mock.patch.object(coupling, "UPDOWN_CHUNK", chunk), \
+            mock.patch.object(coupling, "UPDOWN_MIN_CHUNK", least), \
             mock.patch.object(chains, "UPDOWN_MIN_CHUNK", least):
         for m in pieces:
             for steps in (m, 1):
