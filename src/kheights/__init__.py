@@ -33,8 +33,6 @@ from .coupling import (
 from .divergence import DivergenceReport, block_divergence, expected_gap
 from .enumeration import (
     FillingStats,
-    count_cycle_heights,
-    count_path_heights,
     count_rect_extensible,
     enumerate_heights,
     filling_stats,

@@ -24,10 +24,11 @@ words, mirroring numpy's internals:
 So a step takes two words, and the chunk is decoded with numpy array
 operations when 1 < n < 2^32 (the product u*n is exact in uint64 only
 for n < 2^32), no high half is kept at entry and no vertex draw is
-rejected.  Otherwise the generator is put back to its entry state and
-the chunk takes the scalar calls.  Either way it ends in the state the
-scalar calls leave: counter, buffer, buffer_pos, has_uint32 and
-uinteger.
+rejected; it ends in the state the scalar calls leave: counter,
+buffer, buffer_pos, has_uint32 and uinteger.  Otherwise updown_chunk
+puts the generator back to its entry state and returns None, and
+updown_moves takes the scalar calls, drawn as its moves are visited,
+as it does for chunks below UPDOWN_MIN_CHUNK steps.
 """
 
 from __future__ import annotations
@@ -123,45 +124,40 @@ def updown_chunk(rng: np.random.Generator, n: int, m: int):
     """The draws of m calls of updown_draws(rng, n) as arrays (vertices,
     offsets, moves) and a function settle(j) that puts the generator
     back to where the first j of those calls leave it; on return it is
-    where all m leave it.  See the module docstring for the decoding."""
+    where all m leave it.  None, with the generator at its entry state,
+    when the chunk cannot be decoded.  See the module docstring for the
+    decoding."""
     bg = rng.bit_generator
     entry = bg.state
-    if 1 < n < 1 << 32 and not entry["has_uint32"]:
-        raw = bg.random_raw(2 * m)
-        first = raw[0::2]
-        prod = (first & _LOW32) * np.uint64(n)
-        threshold = (1 << 32) % n
-        if not (threshold and ((prod & _LOW32) < threshold).any()):
-            def land(j: int) -> None:
-                # j steps take 2j words; the offset draw of the last one
-                # used the kept high half of its vertex word, which stays
-                # in uinteger
-                state = bg.state
-                state["has_uint32"] = 0
-                state["uinteger"] = int(first[j - 1] >> 32)
-                bg.state = state
-
-            def settle(j: int) -> None:
-                bg.state = entry
-                if j:
-                    bg.random_raw(2 * j)
-                    land(j)
-
-            if m:
-                land(m)
-            return ((prod >> 32).astype(np.int64),
-                    2 * (first >> 63).astype(np.int64) - 1,
-                    raw[1::2] >> 11 <= np.uint64(1 << 52), settle)
+    if not 1 < n < 1 << 32 or entry["has_uint32"]:
+        return None
+    raw = bg.random_raw(2 * m)
+    first = raw[0::2]
+    prod = (first & _LOW32) * np.uint64(n)
+    threshold = (1 << 32) % n
+    if threshold and ((prod & _LOW32) < threshold).any():
         bg.state = entry
-    draws = np.array([updown_draws(rng, n) for _ in range(m)],
-                     dtype=np.int64).reshape(m, 3)
+        return None
+
+    def land(j: int) -> None:
+        # j steps take 2j words; the offset draw of the last one used the
+        # kept high half of its vertex word, which stays in uinteger
+        state = bg.state
+        state["has_uint32"] = 0
+        state["uinteger"] = int(first[j - 1] >> 32)
+        bg.state = state
 
     def settle(j: int) -> None:
         bg.state = entry
-        for _ in range(j):
-            updown_draws(rng, n)
+        if j:
+            bg.random_raw(2 * j)
+            land(j)
 
-    return draws[:, 0], draws[:, 1], draws[:, 2] == 1, settle
+    if m:
+        land(m)
+    return ((prod >> 32).astype(np.int64),
+            2 * (first >> 63).astype(np.int64) - 1,
+            raw[1::2] >> 11 <= np.uint64(1 << 52), settle)
 
 
 def updown_moves(rng: np.random.Generator, n: int, m: int):
@@ -169,13 +165,15 @@ def updown_moves(rng: np.random.Generator, n: int, m: int):
     vertex, offset) triples, and settle(j) for a caller that stops after
     the move at step j - 1: it leaves the generator where the draws of
     the first j steps do.  From UPDOWN_MIN_CHUNK steps on the draws come
-    from updown_chunk; below it from updown_draws, drawn as the iterator
-    advances, so stopping leaves the generator there already."""
-    if m < UPDOWN_MIN_CHUNK:
+    from updown_chunk; below it, or when the chunk cannot be decoded,
+    from updown_draws, drawn as the iterator advances, so stopping leaves
+    the generator there already."""
+    chunk = updown_chunk(rng, n, m) if m >= UPDOWN_MIN_CHUNK else None
+    if chunk is None:
         draws = (updown_draws(rng, n) for _ in range(m))
         return ((j, v, delta) for j, (v, delta, move) in enumerate(draws)
                 if move), lambda j: None
-    vs, ds, moves, settle = updown_chunk(rng, n, m)
+    vs, ds, moves, settle = chunk
     (at,) = np.nonzero(moves)
     return zip(at.tolist(), vs[at].tolist(), ds[at].tolist()), settle
 

@@ -30,6 +30,7 @@ from .graphs import (
     rect_block_family,
     singleton_family,
 )
+from .heights import KHeight
 from .tables import case_divergence, reproduce_table
 
 EXIT_OK = 0
@@ -272,12 +273,24 @@ def _ramp(value: int, k: int) -> tuple[int, int, int]:
     return (round(255 * t), 0, 255 - round(255 * t))
 
 
-def cmd_heatmap(args) -> int:
-    with open(args.height) as fh:
+def _read_height(path: str) -> KHeight:
+    """The heatmap input that sample --height-out writes: a graph, k and
+    the values of a k-height of that graph.  ValueError otherwise."""
+    with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: not a JSON object")
     graph = Graph.from_json_dict(doc["graph"])
-    k = doc["k"]
-    values = doc["values"]
+    k, values = doc["k"], doc["values"]
+    if not (type(k) is int and isinstance(values, list)
+            and all(type(x) is int for x in values)):
+        raise ValueError(f"{path}: k and the values must be integers")
+    return KHeight(graph, k, tuple(values))  # checks it is a k-height
+
+
+def cmd_heatmap(args) -> int:
+    height = _read_height(args.height)
+    graph, k, values = height.graph, height.k, height.values
     dims = graph.dims
     scale = args.scale
     if dims and args.out.endswith(".ppm"):
@@ -330,6 +343,19 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit with the invalid-input code (3), not 2."""
 
@@ -373,16 +399,16 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--chain", required=True, choices=["updown", "block"])
     r.add_argument("--graph", required=True)
     r.add_argument("--k", type=int, required=True)
-    r.add_argument("--steps", type=int, required=True)
+    r.add_argument("--steps", type=_int_at_least(0), required=True)
     r.add_argument("--seed", type=int, required=True)
-    r.add_argument("--emit-every", type=int, default=0)
+    r.add_argument("--emit-every", type=_int_at_least(0), default=0)
     r.add_argument("--out")
     r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sample", help="exact uniform samples via CFTP")
     s.add_argument("--graph", required=True)
     s.add_argument("--k", type=int, required=True)
-    s.add_argument("--n", type=int, required=True)
+    s.add_argument("--n", type=_int_at_least(0), required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out")
     s.add_argument("--height-out",
@@ -393,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--chain", default="updown", choices=["updown", "block"])
     c.add_argument("--graph", required=True)
     c.add_argument("--k", type=int, required=True)
-    c.add_argument("--trials", type=int, default=100)
+    c.add_argument("--trials", type=_int_at_least(1), default=100)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
     c.set_defaults(fn=cmd_couple_time)
@@ -401,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     h = sub.add_parser("heatmap", help="render a height as PPM/SVG")
     h.add_argument("--height", required=True, help="height JSON file")
     h.add_argument("--out", required=True)
-    h.add_argument("--scale", type=int, default=20)
+    h.add_argument("--scale", type=_int_at_least(1), default=20)
     h.set_defaults(fn=cmd_heatmap)
 
     v = sub.add_parser("verify", help="run the property suite")

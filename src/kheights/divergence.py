@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import filling_stats
+from .enumeration import enumerate_boundary_constraints, filling_stats
 from .graphs import Block, Graph, boundary
 from .heights import BoundaryConstraint
 
@@ -110,8 +110,11 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     empty = BoundaryConstraint(())
     omega_block = filling_stats(graph, block, empty, k).count
     bdry = sorted(boundary(graph, block))
-    omega_boundary = (k + 1) ** len(bdry) if _boundary_independent(
-        graph, bdry) else _count_boundary(graph, bdry, k)
+    if _boundary_independent(graph, bdry):
+        omega_boundary = (k + 1) ** len(bdry)
+    else:
+        omega_boundary = sum(
+            1 for _ in enumerate_boundary_constraints(graph, block, k))
     best: Fraction | None = None
     witness = None
     for lo, hi in iter_cover_pairs(graph, block, v, k):
@@ -138,23 +141,3 @@ def _boundary_independent(graph: Graph, bdry) -> bool:
         not graph.has_edge(u, w)
         for i, u in enumerate(bdry) for w in bdry[i + 1:]
     )
-
-
-def _count_boundary(graph: Graph, bdry, k: int) -> int:
-    count = 0
-
-    def rec(i, vec):
-        nonlocal count
-        if i == len(bdry):
-            count += 1
-            return
-        for x in range(k + 1):
-            if all(
-                not graph.has_edge(bdry[j], bdry[i]) or abs(vec[j] - x) <= 1
-                for j in range(i)
-            ):
-                rec(i + 1, vec + [x])
-
-    rec(0, [])
-    return count
-

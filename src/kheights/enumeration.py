@@ -1,22 +1,21 @@
-"""Counting and enumeration engines: transfer matrices, boundary
+"""Counting and enumeration engines: step matrices, boundary
 constraints, admissible fillings and their exact (count, total weight)
-statistics via dynamic programming.
+statistics.
 
 All counts and weights are exact Python integers; expected weights are
-Fractions.  One layered transfer DP covers the block shapes used
-throughout: paths, cycles, and 4-wide grid blocks.  Anything else falls
-back to brute-force enumeration under a configurable cap.  This scalar
-DP is the oracle for the vectorized table engines in
-:mod:`kheights.tables`.  Over the same layers and links, FillingRanker
-counts a block's fillings and unranks one in the order of
-enumerate_fillings, for the block chain.
+Fractions.  One layered DP, FillingRanker, covers the block shapes used
+throughout (paths, cycles and 4-wide grid blocks): it counts a block's
+fillings, weighs them, and unranks one in the order of
+enumerate_fillings for the block chain.  Any other block falls back to
+brute-force enumeration under a configurable cap.  This scalar DP is the
+oracle for the vectorized table engines in :mod:`kheights.tables`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
@@ -50,23 +49,6 @@ def step_matrix(a, b=None, span: int = 1, dtype=object) -> np.ndarray:
     b = a if b is None else np.asarray(b).reshape(len(b), -1)
     near = np.all(np.abs(a[:, None, :] - b[None, :, :]) <= span, axis=2)
     return near.astype(np.int64).astype(dtype)
-
-
-def count_cycle_heights(k: int, length: int) -> int:
-    """Number of k-heights of a cycle of the given length: tr(P^L)."""
-    if length < 3:
-        raise ValueError("cycle length must be >= 3")
-    P = step_matrix(np.arange(k + 1))
-    return int(np.trace(np.linalg.matrix_power(P, length)))
-
-
-def count_path_heights(k: int, length: int) -> int:
-    """Number of k-heights of a path on `length` vertices: 1^T P^{L-1} 1."""
-    if length < 1:
-        raise ValueError("path needs at least one vertex")
-    P = step_matrix(np.arange(k + 1))
-    ones = np.ones(k + 1, dtype=object)
-    return int(ones @ np.linalg.matrix_power(P, length - 1) @ ones)
 
 
 def count_rect_extensible(k: int) -> int:
@@ -146,43 +128,6 @@ def _links(states: tuple, nxt: tuple) -> tuple[tuple[int, ...], ...]:
         for s in states)
 
 
-def _layered_dp(layers: list[tuple[tuple[int, ...], ...]], preds,
-                cnt: list[int]) -> list:
-    """Transfer DP over layers of states: the (count, total weight) of
-    the fillings that end in each state of the last layer, where a
-    filling picks one state per layer, consecutive states differ by at
-    most 1 in every cell (preds[r] = _links(layers[r + 1], layers[r])),
-    and cnt[i] weighs the fillings that start in state i."""
-    wgt = [c * sum(s) for c, s in zip(cnt, layers[0])]
-    for js_of, states in zip(preds, layers[1:]):
-        c_at, w_at = cnt.__getitem__, wgt.__getitem__
-        cnt = [sum(map(c_at, js)) for js in js_of]
-        wgt = [sum(map(w_at, js)) + c * sum(s)
-               for js, c, s in zip(js_of, cnt, states)]
-    return list(zip(cnt, wgt))
-
-
-def _transfer_stats(shape: str, allowed: list[list[int]]) -> FillingStats:
-    """Filling statistics of a path, a cycle (closed through its first
-    vertex) or a grid of 4-wide rows, by the layered DP."""
-    layers = _layers(shape, allowed)
-    preds = [_links(b, a) for a, b in zip(layers, layers[1:])]
-    if shape != "cycle":
-        ends = _layered_dp(layers, preds, [1] * len(layers[0]))
-        return FillingStats(sum(c for c, _ in ends), sum(w for _, w in ends))
-    # a cycle is the path DP started at one first value and closed
-    count = weight = 0
-    for i, (first,) in enumerate(layers[0]):
-        start = [0] * len(layers[0])
-        start[i] = 1
-        ends = _layered_dp(layers, preds, start)
-        for (last,), (c, w) in zip(layers[-1], ends):
-            if abs(last - first) <= 1:
-                count += c
-                weight += w
-    return FillingStats(count, weight)
-
-
 def dp_shape(graph: Graph, block: Block) -> str | None:
     """block.shape when the layered DP covers the block: its size fits
     the shape and its internal edges are exactly the shape's (path
@@ -206,15 +151,16 @@ def dp_shape(graph: Graph, block: Block) -> str | None:
 
 
 class FillingRanker:
-    """Count and lexicographic unrank of the fillings of a path, cycle
-    or grid block (see dp_shape) whose vertices take values in the given
-    inclusive (lo, hi) ranges.
+    """Count, total weight and lexicographic unrank of the fillings of a
+    path, cycle or grid block (see dp_shape) whose vertices take values
+    in the given inclusive (lo, hi) ranges.
 
     unrank(i) is enumerate_fillings(...)[i] for the same block and
     ranges, found from suffix counts of the layered DP, one layer at a
     time, without building the list.  A cycle is split by its first
     value, in ascending order, into paths that start at that value and
-    end within 1 of it; they share the links of the layers.
+    end within 1 of it; they share the links of the layers.  The weight
+    is worked out from the same suffix counts and links on first use.
     """
 
     def __init__(self, shape: str, ranges):
@@ -239,6 +185,21 @@ class FillingRanker:
             total = sum(suffix[0][i] for i in start)
             self._parts.append((total, start, suffix))
         self.count = sum(total for total, _, _ in self._parts)
+
+    @cached_property
+    def weight(self) -> int:
+        """The sum of the values of all fillings, from suffix weights
+        W[r][i] = suffix[r][i] * sum(state i) + the W[r + 1] of its
+        links: the fillings of layers r.. that start in state i, weighed."""
+        weight = 0
+        for _, start, suffix in self._parts:
+            wgt = [c * sum(s) for c, s in zip(suffix[-1], self._layers[-1])]
+            for r in reversed(range(len(self._links))):
+                after = wgt.__getitem__
+                wgt = [c * sum(s) + sum(map(after, js)) for c, s, js
+                       in zip(suffix[r], self._layers[r], self._links[r])]
+            weight += sum(wgt[i] for i in start)
+        return weight
 
     def unrank(self, idx: int) -> tuple[int, ...]:
         """The idx-th filling (0 <= idx < count) in lexicographic order."""
@@ -292,9 +253,11 @@ def filling_stats(graph: Graph, block: Block,
     if any(not a for a in allowed):
         return FillingStats(0, 0)
     shape = dp_shape(graph, block)
-    if shape is not None:
-        return _transfer_stats(shape, allowed)
-    return _brute_stats(graph, block, allowed)
+    if shape is None:
+        return _brute_stats(graph, block, allowed)
+    # BoundaryConstraint.allowed gives each vertex a range of values
+    ranker = FillingRanker(shape, [(vals[0], vals[-1]) for vals in allowed])
+    return FillingStats(ranker.count, ranker.weight)
 
 
 def enumerate_fillings(graph: Graph, block: Block,

@@ -75,8 +75,23 @@ class Graph:
 
     @classmethod
     def from_json_dict(cls, d) -> "Graph":
-        dims = d.get("dims")
-        return cls.from_edges(d["n"], [tuple(e) for e in d["edges"]],
+        """The graph of a to_json_dict record.  GraphError unless n is a
+        non-negative integer, the edges integer pairs and dims, if
+        given, a pair of positive integers."""
+        if not isinstance(d, dict):
+            raise GraphError("a graph record must be a JSON object")
+        n, edges, dims = d["n"], d["edges"], d.get("dims")
+        if not (type(n) is int and n >= 0):
+            raise GraphError(f"n must be a non-negative integer, got {n!r}")
+        if not (isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 2
+                and all(type(u) is int for u in e) for e in edges)):
+            raise GraphError("edges must be a list of integer pairs")
+        if dims and not (isinstance(dims, list) and len(dims) == 2 and all(
+                type(x) is int and x > 0 for x in dims)):
+            raise GraphError(f"dims must be two positive integers, "
+                             f"got {dims!r}")
+        return cls.from_edges(n, [tuple(e) for e in edges],
                               kind=d.get("kind"),
                               dims=tuple(dims) if dims else None)
 

@@ -30,8 +30,7 @@ from .divergence import DivergenceReport
 from .enumeration import (
     ENUMERATION_CAP,
     EnumerationCapError,
-    count_cycle_heights,
-    count_path_heights,
+    FillingRanker,
     count_rect_extensible,
     row_states,
     step_matrix,
@@ -254,10 +253,10 @@ def case_divergence(tag: CaseTag, k: int) -> DivergenceReport:
     e_max, x, slot_vals = maximize_gap(
         (p, (cnt[p], wgt[p]), (cnt[p + 1], wgt[p + 1])) for p in range(k))
     pins = [(d, x)] + [(d + 1 + a, v) for a, v in enumerate(slot_vals)]
-    count_heights = (count_cycle_heights if tag.kind == "type1"
-                     else count_path_heights)
+    shape = "cycle" if tag.kind == "type1" else "path"
     return DivergenceReport(
-        k=k, case_id=str(tag), omega_block=count_heights(k, d),
+        k=k, case_id=str(tag),
+        omega_block=FillingRanker(shape, [(0, k)] * d).count,
         # the boundary vertices are independent: one entry per assignment
         omega_boundary=cnt.size, e_max=e_max,
         witness=(BoundaryConstraint(tuple(sorted(pins))), d),

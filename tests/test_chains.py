@@ -18,6 +18,7 @@ from kheights.chains import (
     transition_matrix_updown,
     updown_chunk,
     updown_draws,
+    updown_moves,
     updown_result,
 )
 from kheights.enumeration import EnumerationCapError, dp_shape
@@ -126,6 +127,28 @@ DECODER_NS = [1, 2, 3, 36, 256, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32,
               2 ** 33 + 5]
 
 
+def _entry_rng(seed, skip, kept):
+    rng = make_rng(seed)
+    rng.bit_generator.random_raw(skip)  # any buffer position
+    if kept:
+        rng.integers(7)  # a high half kept for the next 32-bit draw
+    return rng
+
+
+def _moves_until(rng, n, m, stop):
+    """The moves of updown_moves(rng, n, m) up to the first one at step
+    stop - 1 or later, where it settles as a caller that stops there
+    does, and the number of steps drawn."""
+    moves, settle = updown_moves(rng, n, m)
+    taken = []
+    for move in moves:
+        taken.append(move)
+        if move[0] + 1 >= stop:
+            settle(move[0] + 1)
+            return taken, move[0] + 1
+    return taken, m
+
+
 @settings(max_examples=150, deadline=None)
 @given(n=strategies.sampled_from(DECODER_NS),
        seed=strategies.integers(0, 2 ** 32 - 1),
@@ -133,37 +156,51 @@ DECODER_NS = [1, 2, 3, 36, 256, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32,
        m=strategies.integers(0, 300), data=strategies.data())
 def test_updown_chunk_matches_scalar_draws(n, seed, skip, kept, m, data):
     """m decoded draws equal m updown_draws calls, and settle(j) leaves
-    the generator, field by field, where j calls do."""
-    a, b = make_rng(seed), make_rng(seed)
-    for rng in (a, b):
-        rng.bit_generator.random_raw(skip)  # any buffer position
-        if kept:
-            rng.integers(7)  # a high half kept for the next 32-bit draw
+    the generator, field by field, where j calls do.  A chunk that cannot
+    be decoded is None and leaves the generator untouched.  updown_moves,
+    stopped after any move, follows the scalar draws either way."""
+    a, b = _entry_rng(seed, skip, kept), _entry_rng(seed, skip, kept)
     entry = rng_fields(a)
     want = [updown_draws(a, n) for _ in range(m)]
-    vs, ds, moves, settle = updown_chunk(b, n, m)
-    assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
-    assert rng_fields(b) == rng_fields(a)
-    j = data.draw(strategies.integers(0, m))
-    settle(j)
-    c = make_rng(seed)
-    c.bit_generator.random_raw(skip)
-    if kept:
-        c.integers(7)
-    assert rng_fields(c) == entry
-    for _ in range(j):
+    chunk = updown_chunk(b, n, m)
+    if kept or not 1 < n < 2 ** 32:
+        assert chunk is None
+    if chunk is None:
+        # otherwise a vertex draw was rejected, which needs 2^32 % n != 0
+        assert kept or not 1 < n < 2 ** 32 or 2 ** 32 % n
+        assert rng_fields(b) == entry
+    else:
+        vs, ds, moves, settle = chunk
+        assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
+        assert rng_fields(b) == rng_fields(a)
+        j = data.draw(strategies.integers(0, m))
+        settle(j)
+        c = _entry_rng(seed, skip, kept)
+        for _ in range(j):
+            updown_draws(c, n)
+        assert rng_fields(b) == rng_fields(c)
+    d = _entry_rng(seed, skip, kept)
+    taken, drawn = _moves_until(d, n, m, data.draw(strategies.integers(0, m)))
+    assert taken == [(j, v, delta) for j, (v, delta, move)
+                     in enumerate(want[:drawn]) if move]
+    c = _entry_rng(seed, skip, kept)
+    for _ in range(drawn):
         updown_draws(c, n)
-    assert rng_fields(b) == rng_fields(c)
+    assert rng_fields(d) == rng_fields(c)
 
 
 def test_updown_chunk_decodes_rejections_in_order():
-    # at n = 3 * 2^30 a quarter of the vertex draws are rejected; the
-    # chunk falls back to the scalar calls and matches them draw for draw
+    # at n = 3 * 2^30 a quarter of the vertex draws are rejected: the
+    # chunk is None with the generator untouched, and updown_moves
+    # follows the scalar calls draw for draw
     a, b = make_rng(3), make_rng(3)
     n = 3 * 2 ** 30
     want = [updown_draws(a, n) for _ in range(2000)]
-    vs, ds, moves, _ = updown_chunk(b, n, 2000)
-    assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
+    assert updown_chunk(b, n, 2000) is None
+    assert rng_fields(b) == rng_fields(make_rng(3))
+    taken, _ = _moves_until(b, n, 2000, 2000)
+    assert taken == [(j, v, delta) for j, (v, delta, move)
+                     in enumerate(want) if move]
     assert rng_fields(a) == rng_fields(b)
 
 

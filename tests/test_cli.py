@@ -1,5 +1,7 @@
 import json
+import shlex
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,22 @@ def test_couple_time_step_cap_exits_4(monkeypatch):
 def test_bad_flag_exits_3():
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--id", "bogus", "--k", "2"])
+    assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["couple-time", "--graph", "path:3", "--k", "2", "--trials", "0"],
+    ["run", "--chain", "updown", "--graph", "path:3", "--k", "2",
+     "--steps", "-1", "--seed", "0"],
+    ["run", "--chain", "updown", "--graph", "path:3", "--k", "2",
+     "--steps", "5", "--seed", "0", "--emit-every", "-5"],
+    ["sample", "--graph", "path:3", "--k", "1", "--n", "-3", "--seed", "0"],
+    ["heatmap", "--height", "height.json", "--out", "x.ppm",
+     "--scale", "0"],
+])
+def test_out_of_range_count_flag_exits_3(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
     assert exc.value.code == 3
 
 
@@ -227,7 +245,7 @@ def test_heatmap_full_value_opposite_end(tmp_path):
 
 def test_heatmap_byte_identical(tmp_path):
     g = make_toroidal_rect(3, 3)
-    f = _write_height(tmp_path, g, [3, 3], 2, [0, 1, 2, 1, 2, 0, 2, 0, 1])
+    f = _write_height(tmp_path, g, [3, 3], 2, [0, 1, 1, 1, 2, 1, 1, 1, 1])
     a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
     main(["heatmap", "--height", str(f), "--out", str(a)])
     main(["heatmap", "--height", str(f), "--out", str(b)])
@@ -247,6 +265,49 @@ def test_missing_file_exits_3(tmp_path):
     assert main(["run", "--chain", "updown", "--graph",
                  str(tmp_path / "nope.json"), "--k", "1", "--steps", "1",
                  "--seed", "0"]) == 3
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 2, "edges": [["0", "1"]]},
+    {"n": 3.5, "edges": []},
+    [[0, 1]],
+])
+def test_malformed_graph_json_exits_3(tmp_path, graph):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(graph))
+    assert main(["run", "--chain", "updown", "--graph", str(f), "--k", "1",
+                 "--steps", "1", "--seed", "0"]) == 3
+
+
+_RECT3 = make_toroidal_rect(3, 3).to_json_dict()
+
+
+@pytest.mark.parametrize("doc", [
+    {"graph": _RECT3, "k": 2, "values": [0] * 4},  # shorter than the graph
+    {"graph": _RECT3, "k": 2, "values": [2] + [0] * 8},  # not a k-height
+    {"graph": _RECT3, "k": "2", "values": [0] * 9},
+    {"graph": {**_RECT3, "dims": [3, 0]}, "k": 2, "values": [0] * 9},
+    {"graph": {"n": 2, "edges": [["0", "1"]]}, "k": 1, "values": [0, 0]},
+    [0] * 9,
+])
+def test_malformed_height_json_exits_3(tmp_path, doc):
+    f = tmp_path / "height.json"
+    f.write_text(json.dumps(doc))
+    assert main(["heatmap", "--height", str(f),
+                 "--out", str(tmp_path / "x.ppm")]) == 3
+
+
+def test_readme_commands_exit_0(tmp_path, monkeypatch):
+    """Every kheights line of README's "Command line" block runs, in
+    order, in one fresh directory: heatmap reads what sample writes."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [ln for ln in block.splitlines() if ln.startswith("kheights ")]
+    assert len(lines) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line, comments=True)[1:]) == 0, line
 
 
 def test_verify_command(tmp_path):

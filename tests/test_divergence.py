@@ -9,7 +9,7 @@ from kheights.divergence import (
     iter_cover_pairs,
     round_half_even,
 )
-from kheights.graphs import CaseTag, make_case_graph
+from kheights.graphs import Block, CaseTag, Graph, make_case_graph
 from kheights.heights import BoundaryConstraint
 
 
@@ -42,8 +42,6 @@ def test_iter_cover_pairs_needs_boundary_pivot():
 def test_expected_gap_nonextensible_raises():
     # middle vertex of a 3-path squeezed between pins 0 and 3 (k=3):
     # no value is within 1 of both
-    from kheights.graphs import Block, Graph
-
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     block = Block(vertices=(1,), shape="path")
     lo = BoundaryConstraint(((0, 0), (2, 3)))
@@ -61,6 +59,15 @@ def test_block_divergence_small_triangle():
     assert rep.e_max_rounded() == 0.727273
     lo_constraint, pivot = rep.witness
     assert pivot == v
+
+
+def test_block_divergence_counts_boundary_with_internal_edge():
+    # the boundary {1, 2} of block (0,) in a triangle has the edge 1~2:
+    # 7 of the 9 assignments at k=2 keep it within 1
+    g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
+    rep = block_divergence(g, Block((0,), shape="path"), 1, 2)
+    assert rep.omega_block == 3
+    assert rep.omega_boundary == 7
 
 
 def test_block_divergence_monotone_in_reference():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from kheights.enumeration import (
-    count_cycle_heights,
-    count_path_heights,
+    FillingRanker,
     count_rect_extensible,
     enumerate_boundary_constraints,
     enumerate_fillings,
@@ -34,7 +33,7 @@ def test_count_cycle_vs_enumeration():
     for L in (3, 4, 5, 6):
         for k in (1, 2, 3):
             g = Graph.from_edges(L, [(i, (i + 1) % L) for i in range(L)])
-            assert count_cycle_heights(k, L) == len(
+            assert FillingRanker("cycle", [(0, k)] * L).count == len(
                 list(enumerate_heights(g, k)))
 
 
@@ -42,7 +41,7 @@ def test_count_path_vs_enumeration():
     for L in (1, 2, 4, 7):
         for k in (1, 2, 3):
             g = Graph.from_edges(L, [(i, i + 1) for i in range(L - 1)])
-            assert count_path_heights(k, L) == len(
+            assert FillingRanker("path", [(0, k)] * L).count == len(
                 list(enumerate_heights(g, k)))
 
 
@@ -146,8 +145,8 @@ def test_enumerate_boundary_constraints_valid_and_sorted(path3=None):
 
 
 def test_cycle_count_golden_hex_sequence():
-    assert [count_cycle_heights(k, 6) for k in (2, 3, 4, 5, 6)] == [
-        199, 340, 481, 622, 763]
+    assert [FillingRanker("cycle", [(0, k)] * 6).count
+            for k in (2, 3, 4, 5, 6)] == [199, 340, 481, 622, 763]
 
 
 def test_matrix_power_object_exactness():
