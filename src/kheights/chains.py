@@ -43,10 +43,10 @@ import numpy as np
 
 from .enumeration import (
     EnumerationCapError,
-    FillingRanker,
     dp_shape,
     enumerate_fillings,
     enumerate_heights,
+    filling_ranker,
 )
 from .graphs import BlockFamily, Graph, boundary
 from .heights import BoundaryConstraint, KHeight
@@ -197,13 +197,17 @@ class BlockSampler:
     """Uniform sampling from the admissible fillings of a block.
 
     A block the layered DP covers (enumeration.dp_shape) is counted and
-    unranked by a FillingRanker, cached by (shape, allowed value ranges)
-    so that all blocks of one shape share entries; the allowed ranges
-    come straight from the values of each block vertex's external
-    neighbours.  Other blocks draw from the enumerated filling list,
-    which fillings_for serves with a bounded cache keyed by (block
-    index, boundary values); the coupled step and the exact transition
-    matrix read that list for every block.
+    unranked by a FillingRanker from enumeration.filling_ranker, the
+    process-wide table keyed by (shape, allowed value ranges) that the
+    blocks of every sampler share; the allowed ranges come straight from
+    the values of each block vertex's external neighbours.  Per-layer
+    ranker counters read filling_ranker.cache_info() (hits, misses,
+    entries).  Other blocks draw from the enumerated filling list, which
+    fillings_for serves with a per-sampler cache of cache_size entries
+    keyed by (block index, boundary values); the coupled step and the
+    exact transition matrix read that list for every block.  The cache
+    wraps a closure that does not hold the sampler, so a dropped sampler
+    is freed at once, not at the next full collection.
     """
 
     def __init__(self, graph: Graph, family: BlockFamily, k: int,
@@ -220,14 +224,14 @@ class BlockSampler:
                                   for v in b.vertices])
         self._shape = [dp_shape(graph, b) for b in family.blocks]
         self._cum = list(accumulate(b.multiplicity for b in family.blocks))
-        self._fillings = lru_cache(maxsize=cache_size)(self._fillings_raw)
-        self._ranker = lru_cache(maxsize=cache_size)(FillingRanker)
+        blocks, bdry = family.blocks, self._bdry
 
-    def _fillings_raw(self, block_idx: int, bvals: tuple[int, ...]):
-        block = self.family.blocks[block_idx]
-        constraint = BoundaryConstraint(
-            tuple(zip(self._bdry[block_idx], bvals)))
-        return enumerate_fillings(self.graph, block, constraint, self.k)
+        def fillings(block_idx: int, bvals: tuple[int, ...]):
+            constraint = BoundaryConstraint(
+                tuple(zip(bdry[block_idx], bvals)))
+            return enumerate_fillings(graph, blocks[block_idx], constraint, k)
+
+        self._fillings = lru_cache(maxsize=cache_size)(fillings)
 
     def pick_block(self, r: int) -> int:
         """Block index for a draw r uniform in [0, total multiplicity)."""
@@ -254,7 +258,7 @@ class BlockSampler:
                 lo = max(lo, x - 1)
                 hi = min(hi, x + 1)
             ranges.append((lo, hi))
-        ranker = self._ranker(shape, tuple(ranges))
+        ranker = filling_ranker(shape, tuple(ranges))
         return ranker.count, ranker.unrank
 
     def apply(self, values: list[int], block_idx: int, filling) -> None:

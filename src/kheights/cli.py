@@ -13,6 +13,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import __version__, _golden
 from .bounds import FAMILY_PARAMS, family_report, sci7, tau_bound
@@ -356,6 +357,17 @@ def _int_at_least(least: int):
     return parse
 
 
+def _eps(text: str) -> float:
+    """An argparse type: the tau(eps) accuracy, 0 < eps < 1/2."""
+    value = float(text)
+    if not 0 < value < 0.5:
+        raise argparse.ArgumentTypeError(f"need 0 < eps < 1/2, got {value}")
+    return value
+
+
+_eps.__name__ = "float"  # argparse names the type in its messages
+
+
 class _Parser(argparse.ArgumentParser):
     """Argument errors exit with the invalid-input code (3), not 2."""
 
@@ -365,7 +377,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process on first use: a
+    build takes over ten times as long as parsing a command line."""
     p = _Parser(
         prog="kheights",
         description="k-height Markov chains: tables, bounds, sampling.")
@@ -378,22 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--k", type=int, required=True)
     t.add_argument("--case", help="restrict to one case, e.g. 1_6[1]")
     t.add_argument("--out")
-    t.set_defaults(fn=cmd_tables)
 
     d = sub.add_parser("divergence", help="single divergence report")
     d.add_argument("--case", help="case name, e.g. 2[1,8]")
     d.add_argument("--family", choices=["rect", "hex"])
     d.add_argument("--k", type=int, required=True)
     d.add_argument("--out")
-    d.set_defaults(fn=cmd_divergence)
 
     b = sub.add_parser("bound", help="mixing-bound constants")
     b.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
     b.add_argument("--k", type=int, required=True)
-    b.add_argument("--n", type=int)
-    b.add_argument("--eps", type=float)
+    b.add_argument("--n", type=_int_at_least(1))
+    b.add_argument("--eps", type=_eps)
     b.add_argument("--out")
-    b.set_defaults(fn=cmd_bound)
 
     r = sub.add_parser("run", help="run a chain, emit trajectory JSONL")
     r.add_argument("--chain", required=True, choices=["updown", "block"])
@@ -403,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--emit-every", type=_int_at_least(0), default=0)
     r.add_argument("--out")
-    r.set_defaults(fn=cmd_run)
 
     s = sub.add_parser("sample", help="exact uniform samples via CFTP")
     s.add_argument("--graph", required=True)
@@ -413,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out")
     s.add_argument("--height-out",
                    help="write sample 0 as heatmap input JSON")
-    s.set_defaults(fn=cmd_sample)
 
     c = sub.add_parser("couple-time", help="coalescence-time CSV")
     c.add_argument("--chain", default="updown", choices=["updown", "block"])
@@ -422,25 +432,23 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--trials", type=_int_at_least(1), default=100)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")
-    c.set_defaults(fn=cmd_couple_time)
 
     h = sub.add_parser("heatmap", help="render a height as PPM/SVG")
     h.add_argument("--height", required=True, help="height JSON file")
     h.add_argument("--out", required=True)
     h.add_argument("--scale", type=_int_at_least(1), default=20)
-    h.set_defaults(fn=cmd_heatmap)
 
     v = sub.add_parser("verify", help="run the property suite")
     v.add_argument("--out")
-    v.set_defaults(fn=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up per call, so that a replaced cmd_* function is the one run
+    fn = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:
-        return args.fn(args)
+        return fn(args)
     except EnumerationCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -21,7 +23,7 @@ from kheights.chains import (
     updown_moves,
     updown_result,
 )
-from kheights.enumeration import EnumerationCapError, dp_shape
+from kheights.enumeration import EnumerationCapError, dp_shape, filling_ranker
 from kheights.graphs import (
     Block,
     BlockFamily,
@@ -332,10 +334,23 @@ def _ranker_cases():
 SMALL_CASES, GRID_CASES = _ranker_cases()
 
 
+def _warm_ranker_table():
+    """Run block chains of other graphs and other k (hex:4x4 at k=3,
+    rect:8x8 at k=2), so that the process-wide ranker table holds their
+    rankers when a case asks for its own."""
+    for g, family, k in [(make_toroidal_hex(4, 4), hex_block_family, 3),
+                         (make_toroidal_rect(8, 8), rect_block_family, 2)]:
+        step_block(make_chain(g, k, seed=2), BlockSampler(g, family(g), k),
+                   40)
+
+
 def _check_ranked(data, cases):
     """The DP count and unrank agree with the enumerated filling list
     under random boundary values: arbitrary ones (often inconsistent)
-    or one constant value (many fillings)."""
+    or one constant value (many fillings).  The ranker table is warmed
+    by other samplers first, so a table key that leaves out something a
+    ranker depends on hands this case a wrong ranker."""
+    _warm_ranker_table()
     g, block, k = data.draw(strategies.sampled_from(cases))
     assert dp_shape(g, block) == block.shape
     values = data.draw(strategies.one_of(
@@ -369,6 +384,60 @@ def test_ranked_grid_matches_enumerated_fillings(data):
     """4x4 blocks of rect:8x8 at k <= 2 (up to ~9e4 fillings each, so
     few examples and a sample of indices)."""
     _check_ranked(data, GRID_CASES)
+
+
+def test_ranker_table_is_shared_across_samplers():
+    """A path and a cycle with the same value ranges (no outside
+    neighbours, so every range is (0, k)) get their own rankers; a
+    sampler of another graph with the same key hits the first one's."""
+    k, m = 2, 6
+    path = Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+    cycle = Graph.from_edges(m, [(i, (i + 1) % m) for i in range(m)])
+    pendant = Graph.from_edges(m + 1, [(i, i + 1) for i in range(m)])
+    cases = [(path, Block(tuple(range(m)), shape="path")),
+             (cycle, Block(tuple(range(m)), shape="cycle")),
+             (cycle, Block(tuple(range(m)), shape="cycle"))]
+    counts = []
+    for g, block in cases:
+        sampler = BlockSampler(g, BlockFamily((block,)), k)
+        before = filling_ranker.cache_info()
+        count, unrank = sampler.ranked(0, [1] * g.n)
+        after = filling_ranker.cache_info()
+        fillings = sampler.fillings_for(0, [1] * g.n)
+        assert count == len(fillings)
+        assert [unrank(i) for i in range(count)] == fillings
+        counts.append(count)
+        assert after.hits + after.misses == before.hits + before.misses + 1
+    assert counts[0] != counts[1] == counts[2]
+    assert after.hits == before.hits + 1  # the second cycle sampler's
+    # one outside neighbour at 1 gives vertex 6 of the pendant path the
+    # range (0, 2), like every vertex of the path: same key, other graph
+    sampler = BlockSampler(pendant, BlockFamily((Block(
+        tuple(range(m)), shape="path"),)), k)
+    hits = filling_ranker.cache_info().hits
+    assert sampler.ranked(0, [1] * (m + 1))[0] == counts[0]
+    assert filling_ranker.cache_info().hits == hits + 1
+
+
+def test_block_sampler_is_freed_without_the_cycle_collector(cycle4):
+    """A sampler that has stepped and cached fillings dies with its last
+    reference: nothing it holds refers back to it."""
+    g = make_toroidal_hex(4, 4)
+    samplers = [BlockSampler(g, hex_block_family(g), 2),
+                BlockSampler(cycle4, BlockFamily((Block((0, 1, 2, 3),
+                                                        shape="path"),)), 2)]
+    refs = []
+    gc.disable()
+    try:
+        for sampler in samplers:
+            st = make_chain(sampler.graph, 2, seed=4)
+            step_block(st, sampler, 50)
+            assert sampler.fillings_for(0, st.values)
+            refs.append(weakref.ref(sampler))
+        del samplers, sampler
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_dp_shape_checks_internal_edges(cycle4):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kheights import coupling
+from kheights import __version__, cli, coupling
 from kheights.cli import _ramp, main, parse_case, parse_graph
 from kheights.graphs import make_toroidal_rect
 
@@ -108,6 +108,11 @@ def test_bad_flag_exits_3():
     ["sample", "--graph", "path:3", "--k", "1", "--n", "-3", "--seed", "0"],
     ["heatmap", "--height", "height.json", "--out", "x.ppm",
      "--scale", "0"],
+    ["bound", "--family", "hex", "--k", "2", "--n", "32", "--eps", "0"],
+    ["bound", "--family", "hex", "--k", "2", "--n", "32", "--eps", "0.5"],
+    ["bound", "--family", "hex", "--k", "2", "--n", "32", "--eps", "nan"],
+    ["bound", "--family", "hex", "--k", "2", "--n", "0", "--eps", "0.1"],
+    ["bound", "--family", "rect", "--k", "2", "--n", "0"],
 ])
 def test_out_of_range_count_flag_exits_3(argv):
     with pytest.raises(SystemExit) as exc:
@@ -132,6 +137,39 @@ def test_bound_report(capsys):
     assert doc["beta"] is not None and doc["beta"] < 1
     assert doc["tau"] > 0
     assert doc["published"]["c"] == 1.165099e5
+
+
+def test_bound_benchmark_flags_give_tau_and_beta(capsys):
+    assert main(["bound", "--family", "hex", "--k", "2",
+                 "--n", "1024", "--eps", "0.125"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tau"] > 0 and 0 < doc["beta"] < 1
+
+
+def test_main_calls_in_a_row_share_one_parser(capsys, monkeypatch):
+    """main() builds its parser once per process; each call still acts
+    as on a fresh one, and runs the cmd_* function bound at call time."""
+    assert main(["tables", "--id", "hex", "--k", "2"]) == 0
+    assert "2,hex,199,729,0.798658" in capsys.readouterr().out
+    argv = ["couple-time", "--graph", "path:3", "--k", "1", "--trials", "2"]
+    assert main(argv + ["--seed", "5"]) == 0
+    seeded = capsys.readouterr().out.splitlines()[2:]
+    assert main(argv) == 0  # --seed falls back to its default, 0
+    unseeded = capsys.readouterr().out.splitlines()[2:]
+    assert main(argv + ["--seed", "0"]) == 0
+    assert capsys.readouterr().out.splitlines()[2:] == unseeded != seeded
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--chain", "sideways", "--graph", "path:3", "--k", "1",
+              "--steps", "1", "--seed", "0"])
+    assert exc.value.code == 3
+    assert "invalid choice" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == __version__ + "\n"
+    monkeypatch.setattr(cli, "cmd_bound", lambda args: 7)
+    assert main(["bound", "--family", "hex", "--k", "2"]) == 7
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_run_command_jsonl(tmp_path):
