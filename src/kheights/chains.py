@@ -49,7 +49,7 @@ from .enumeration import (
     filling_ranker,
 )
 from .graphs import BlockFamily, Graph, boundary
-from .heights import BoundaryConstraint, KHeight
+from .heights import BoundaryConstraint, KHeight, value_ranges
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -199,10 +199,10 @@ class BlockSampler:
     A block the layered DP covers (enumeration.dp_shape) is counted and
     unranked by a FillingRanker from enumeration.filling_ranker, the
     process-wide table keyed by (shape, allowed value ranges) that the
-    blocks of every sampler share; the allowed ranges come straight from
-    the values of each block vertex's external neighbours.  Per-layer
-    ranker counters read filling_ranker.cache_info() (hits, misses,
-    entries).  Other blocks draw from the enumerated filling list, which
+    blocks of every sampler share; heights.value_ranges reads the allowed
+    ranges straight from the values of each block vertex's external
+    neighbours.  Per-layer ranker counters read filling_ranker.cache_info()
+    (hits, misses, entries).  Other blocks draw from the enumerated filling list, which
     fillings_for serves with a per-sampler cache of cache_size entries
     keyed by (block index, boundary values); the coupled step and the
     exact transition matrix read that list for every block.  The cache
@@ -250,15 +250,8 @@ class BlockSampler:
         if shape is None:
             fillings = self.fillings_for(block_idx, values)
             return len(fillings), fillings.__getitem__
-        ranges = []
-        for nbrs in self._outside[block_idx]:
-            lo, hi = 0, self.k
-            for u in nbrs:
-                x = values[u]
-                lo = max(lo, x - 1)
-                hi = min(hi, x + 1)
-            ranges.append((lo, hi))
-        ranker = filling_ranker(shape, tuple(ranges))
+        ranker = filling_ranker(shape, tuple(
+            value_ranges(values, self._outside[block_idx], self.k)))
         return ranker.count, ranker.unrank
 
     def apply(self, values: list[int], block_idx: int, filling) -> None:

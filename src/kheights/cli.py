@@ -289,6 +289,10 @@ def _read_height(path: str) -> KHeight:
     return KHeight(graph, k, tuple(values))  # checks it is a k-height
 
 
+#: pixels of the largest PPM heatmap, built in memory at 3 bytes a pixel
+HEATMAP_MAX_PIXELS = 1 << 24
+
+
 def cmd_heatmap(args) -> int:
     height = _read_height(args.height)
     graph, k, values = height.graph, height.k, height.values
@@ -298,6 +302,10 @@ def cmd_heatmap(args) -> int:
         # one row per y; a hex graph has two vertices per grid point
         h = dims[1]
         g = graph.n // h
+        if g * scale * h * scale > HEATMAP_MAX_PIXELS:
+            raise EnumerationCapError(
+                f"a {g * scale}x{h * scale} image exceeds "
+                f"{HEATMAP_MAX_PIXELS} pixels; lower --scale")
         header = f"P6\n{g * scale} {h * scale}\n255\n".encode()
         body = bytearray()
         for y in range(h):

@@ -26,7 +26,7 @@ from .chains import (
     updown_moves,
     updown_result,
 )
-from .enumeration import EnumerationCapError
+from .enumeration import ENUMERATION_CAP, EnumerationCapError
 from .graphs import Graph
 from .heights import KHeight
 
@@ -74,7 +74,10 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
     Built as an integer max-flow in the bipartite comparability network
     with denominators cleared: source -> each low filling at capacity
     |high_set|, each high filling -> sink at capacity |low_set|.  Any
-    maximum flow of full value is accepted.
+    maximum flow of full value is accepted.  Raises EnumerationCapError,
+    before the comparison array is built, when its L * H * m entries (m
+    vertices a filling) pass ENUMERATION_CAP; the cap also keeps the
+    flow value L * H inside the int32 capacities.
     """
     low_set = list(low_set)
     high_set = list(high_set)
@@ -87,6 +90,10 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
         if any(a > b for a, b in zip(lo, hi)):
             raise DominanceError("singleton pair not comparable")
         return JointCoupling(((lo, hi, Fraction(1)),), 1, 1)
+    if L * H * len(low_set[0]) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{L} x {H} filling pairs of {len(low_set[0])} vertices exceed "
+            f"cap {ENUMERATION_CAP}")
     # nodes: 0 = source, 1..L = low, L+1..L+H = high, L+H+1 = sink;
     # comparability edges come in (i, j) order
     n = L + H + 2

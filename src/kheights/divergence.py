@@ -19,7 +19,12 @@ from fractions import Fraction
 
 from .enumeration import enumerate_boundary_constraints, filling_stats
 from .graphs import Block, Graph, boundary
-from .heights import BoundaryConstraint
+from .heights import (
+    BoundaryConstraint,
+    assignments,
+    earlier_neighbours,
+    value_ranges,
+)
 
 
 class NonExtensibleError(ValueError):
@@ -60,44 +65,22 @@ def round_half_even(x: Fraction, digits: int = 6) -> float:
     return n / scale
 
 
-def _constraint_valid(graph: Graph, values: dict[int, int]) -> bool:
-    items = list(values.items())
-    for i, (u, a) in enumerate(items):
-        for w, b in items[i + 1:]:
-            if graph.has_edge(u, w) and abs(a - b) > 1:
-                return False
-    return True
-
-
 def iter_cover_pairs(graph: Graph, block: Block, v: int, k: int):
     """Yield (low, high) extensible boundary cover pairs pivoted at v,
-    in lexicographic order of (rest assignment, pivot value)."""
+    in lexicographic order of (rest assignment, pivot value): for each
+    valid assignment of the rest of the boundary, each pair x, x + 1 in
+    the range that its boundary neighbours leave the pivot."""
     bdry = sorted(boundary(graph, block))
     if v not in bdry:
         raise ValueError("pivot vertex is not on the block boundary")
-    rest = [u for u in bdry if u != v]
-
-    def assignments(i, vec):
-        if i == len(rest):
-            yield dict(zip(rest, vec))
-            return
-        for x in range(k + 1):
-            vec.append(x)
-            if _constraint_valid(graph, dict(zip(rest, vec))):
-                yield from assignments(i + 1, vec)
-            vec.pop()
-
-    for env in assignments(0, []):
-        for x in range(k):
-            lo = dict(env)
-            lo[v] = x
-            hi = dict(env)
-            hi[v] = x + 1
-            if _constraint_valid(graph, lo) and _constraint_valid(graph, hi):
-                yield (
-                    BoundaryConstraint(tuple(sorted(lo.items()))),
-                    BoundaryConstraint(tuple(sorted(hi.items()))),
-                )
+    at = bdry.index(v)
+    earlier = earlier_neighbours(graph, bdry[:at] + bdry[at + 1:] + [v])
+    for env in assignments([(0, k)] * (len(bdry) - 1), earlier[:-1]):
+        (lo, hi), = value_ranges(env, earlier[-1:], k)
+        pinned = [tuple(zip(bdry, env[:at] + (x,) + env[at:]))
+                  for x in range(lo, hi + 1)]
+        for low, high in zip(pinned, pinned[1:]):
+            yield BoundaryConstraint(low), BoundaryConstraint(high)
 
 
 def block_divergence(graph: Graph, block: Block, v: int, k: int,
@@ -110,7 +93,7 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     empty = BoundaryConstraint(())
     omega_block = filling_stats(graph, block, empty, k).count
     bdry = sorted(boundary(graph, block))
-    if _boundary_independent(graph, bdry):
+    if not any(earlier_neighbours(graph, bdry)):
         omega_boundary = (k + 1) ** len(bdry)
     else:
         omega_boundary = sum(
@@ -135,9 +118,3 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
         omega_boundary=omega_boundary, e_max=best, witness=witness,
     )
 
-
-def _boundary_independent(graph: Graph, bdry) -> bool:
-    return all(
-        not graph.has_edge(u, w)
-        for i, u in enumerate(bdry) for w in bdry[i + 1:]
-    )

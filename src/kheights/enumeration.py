@@ -20,9 +20,11 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import Block, Graph
+from .graphs import Block, Graph, boundary
 from .heights import (  # noqa: F401  (re-exported counting entry points)
     BoundaryConstraint,
+    assignments,
+    earlier_neighbours,
     enumerate_cover_pairs,
     enumerate_heights,
 )
@@ -63,12 +65,6 @@ def count_rect_extensible(k: int) -> int:
     return int(np.trace(np.linalg.matrix_power(M, 4)))
 
 
-def _allowed_sets(graph: Graph, block: Block,
-                  constraint: BoundaryConstraint, k: int) -> list[list[int]]:
-    """Sorted allowed-value lists per block vertex implied by the pins."""
-    return [sorted(s) for s in constraint.allowed(graph, block, k)]
-
-
 @dataclass(frozen=True)
 class FillingStats:
     """Exact |Omega_{B|X}| and the total weight of all fillings."""
@@ -87,25 +83,16 @@ class FillingStats:
         return self.count > 0
 
 
-def row_states(cells: list[list[int]]) -> list[tuple[int, ...]]:
-    """Value tuples of one grid row whose neighbours differ by <= 1, in
-    lexicographic order (each valid prefix extended cell by cell)."""
-    rows = [()]
-    for vals in cells:
-        rows = [r + (x,) for r in rows for x in vals
-                if not r or abs(r[-1] - x) <= 1]
-    return rows
-
-
-def _layers(shape: str, allowed) -> list[tuple[tuple[int, ...], ...]]:
+def _layers(shape: str, ranges) -> list[tuple[tuple[int, ...], ...]]:
     """The DP layers of a path or cycle (one 1-tuple state per value of
     each vertex) or of a grid (the valid rows of each 4-wide row), each
     in lexicographic order, so that concatenating one state per layer
     lists fillings in the order of enumerate_fillings."""
     if shape == "grid":
-        return [tuple(row_states(allowed[i: i + 4]))
-                for i in range(0, len(allowed), 4)]
-    return [tuple((x,) for x in vals) for vals in allowed]
+        # each cell of a row sits next to the cell before it
+        return [tuple(assignments(ranges[i: i + 4], ([], [0], [1], [2])))
+                for i in range(0, len(ranges), 4)]
+    return [tuple((x,) for x in range(lo, hi + 1)) for lo, hi in ranges]
 
 
 @lru_cache(maxsize=1024)
@@ -164,7 +151,7 @@ class FillingRanker:
     """
 
     def __init__(self, shape: str, ranges):
-        layers = _layers(shape, [range(lo, hi + 1) for lo, hi in ranges])
+        layers = _layers(shape, ranges)
         self._layers = layers
         self._links = [_links(a, b) for a, b in zip(layers, layers[1:])]
         if shape == "cycle":
@@ -234,102 +221,46 @@ def filling_ranker(shape: str, ranges: tuple[tuple[int, int], ...]
     return FillingRanker(shape, ranges)
 
 
-def _brute_stats(graph: Graph, block: Block,
-                 allowed: list[list[int]]) -> FillingStats:
-    raw = 1
-    for vals in allowed:
-        raw *= max(len(vals), 1)
-    if raw > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{raw} raw assignments exceed cap {ENUMERATION_CAP}; "
-            "declare a DP shape or use counting operations"
-        )
-    verts = block.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    internal = [
-        (pos[u], pos[v]) for u, v in graph.edges if u in pos and v in pos
-    ]
-    count = weight = 0
-    for vec in product(*allowed):
-        if all(abs(vec[i] - vec[j]) <= 1 for i, j in internal):
-            count += 1
-            weight += sum(vec)
-    return FillingStats(count, weight)
-
-
 def filling_stats(graph: Graph, block: Block,
                   constraint: BoundaryConstraint, k: int) -> FillingStats:
     """Exact count and total weight of admissible fillings of the block
     under the boundary constraint: by the layered DP when the block's
     internal edges are those of its declared shape (dp_shape), else by
-    brute force."""
-    allowed = _allowed_sets(graph, block, constraint, k)
-    if any(not a for a in allowed):
+    enumerating them, refused past ENUMERATION_CAP raw assignments."""
+    ranges = constraint.allowed(graph, block, k)
+    if any(lo > hi for lo, hi in ranges):
         return FillingStats(0, 0)
     shape = dp_shape(graph, block)
-    if shape is None:
-        return _brute_stats(graph, block, allowed)
-    # BoundaryConstraint.allowed gives each vertex a range of values
-    ranker = FillingRanker(shape, [(vals[0], vals[-1]) for vals in allowed])
-    return FillingStats(ranker.count, ranker.weight)
+    if shape is not None:
+        ranker = FillingRanker(shape, ranges)
+        return FillingStats(ranker.count, ranker.weight)
+    raw = 1
+    for lo, hi in ranges:
+        raw *= hi - lo + 1
+    if raw > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{raw} raw assignments exceed cap {ENUMERATION_CAP}; "
+            "declare a DP shape or use counting operations"
+        )
+    count = weight = 0
+    for vec in assignments(ranges, earlier_neighbours(graph, block.vertices)):
+        count += 1
+        weight += sum(vec)
+    return FillingStats(count, weight)
 
 
 def enumerate_fillings(graph: Graph, block: Block,
                        constraint: BoundaryConstraint, k: int):
     """All admissible fillings as tuples in block-vertex order,
     lexicographic."""
-    allowed = _allowed_sets(graph, block, constraint, k)
-    if any(not a for a in allowed):
-        return []
-    verts = block.vertices
-    pos = {v: i for i, v in enumerate(verts)}
-    internal = [
-        (pos[u], pos[v]) for u, v in graph.edges if u in pos and v in pos
-    ]
-    by_right = [[] for _ in verts]
-    for i, j in internal:
-        i, j = min(i, j), max(i, j)
-        by_right[j].append(i)
-    out = []
-    vec = [0] * len(verts)
-
-    def rec(i):
-        if i == len(verts):
-            out.append(tuple(vec))
-            return
-        for x in allowed[i]:
-            if all(abs(vec[j] - x) <= 1 for j in by_right[i]):
-                vec[i] = x
-                rec(i + 1)
-
-    rec(0)
-    return out
+    return list(assignments(constraint.allowed(graph, block, k),
+                            earlier_neighbours(graph, block.vertices)))
 
 
 def enumerate_boundary_constraints(graph: Graph, block: Block, k: int):
     """Stream all assignments of the boundary valid on the induced
     boundary subgraph, in lexicographic order of values."""
-    from .graphs import boundary
-
     bdry = sorted(boundary(graph, block))
-    internal = [
-        (i, j)
-        for i in range(len(bdry))
-        for j in range(i + 1, len(bdry))
-        if graph.has_edge(bdry[i], bdry[j])
-    ]
-    by_right = [[] for _ in bdry]
-    for i, j in internal:
-        by_right[j].append(i)
-    vec = [0] * len(bdry)
-
-    def rec(i):
-        if i == len(bdry):
-            yield BoundaryConstraint(tuple(zip(bdry, vec)))
-            return
-        for x in range(k + 1):
-            if all(abs(vec[j] - x) <= 1 for j in by_right[i]):
-                vec[i] = x
-                yield from rec(i + 1)
-
-    yield from rec(0)
+    for vec in assignments([(0, k)] * len(bdry),
+                           earlier_neighbours(graph, bdry)):
+        yield BoundaryConstraint(tuple(zip(bdry, vec)))

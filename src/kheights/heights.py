@@ -90,22 +90,15 @@ class BoundaryConstraint:
     def as_dict(self) -> dict[int, int]:
         return dict(self.values)
 
-    def allowed(self, graph: Graph, block: Block, k: int) -> list[frozenset[int]]:
-        """Per block vertex (in block order), the set of values permitted
-        by the boundary: the intersection of [c-1, c+1] over adjacent
-        boundary values c, clipped to [0, k]."""
+    def allowed(self, graph: Graph, block: Block,
+                k: int) -> list[tuple[int, int]]:
+        """Per block vertex (in block order), the inclusive (lo, hi) range
+        of values permitted by the pinned neighbours (see value_ranges);
+        lo > hi when none is."""
         fixed = self.as_dict()
         adj = graph.adjacency()
-        out = []
-        for bv in block.vertices:
-            lo, hi = 0, k
-            for u in adj[bv]:
-                val = fixed.get(u)
-                if val is not None:
-                    lo = max(lo, val - 1)
-                    hi = min(hi, val + 1)
-            out.append(frozenset(range(lo, hi + 1)) if lo <= hi else frozenset())
-        return out
+        pins = [[u for u in adj[bv] if u in fixed] for bv in block.vertices]
+        return value_ranges(fixed, pins, k)
 
 
 @dataclass(frozen=True)
@@ -128,29 +121,63 @@ class CoverPair:
         raise AssertionError("unreachable")
 
 
-def enumerate_heights(graph: Graph, k: int):
-    """Yield every k-height of graph as a tuple, by depth-first search.
+def value_ranges(values, nbr_lists, k: int) -> list[tuple[int, int]]:
+    """Per vertex, the inclusive range (lo, hi) of the values within 1 of
+    values[u] for every u in its list of nbr_lists, clipped to [0, k];
+    lo > hi when no value is.  values is anything indexed by the entries
+    of the lists: a state list, or a dict of pinned values."""
+    out = []
+    for nbrs in nbr_lists:
+        lo, hi = 0, k
+        for u in nbrs:
+            x = values[u]
+            lo = max(lo, x - 1)
+            hi = min(hi, x + 1)
+        out.append((lo, hi))
+    return out
 
-    Fine for small graphs; the counting module has transfer-matrix
-    routines for structured families.
-    """
+
+def earlier_neighbours(graph: Graph, order) -> list[list[int]]:
+    """For each position i of the vertex list order, the positions j < i
+    of its neighbours in graph."""
+    pos = {v: i for i, v in enumerate(order)}
     adj = graph.adjacency()
-    values = [0] * graph.n
+    return [[j for u in adj[v] if (j := pos.get(u, i)) < i]
+            for i, v in enumerate(order)]
+
+
+def assignments(ranges, earlier):
+    """Yield, in lexicographic order, every tuple x with lo_i <= x_i <=
+    hi_i for ranges[i] = (lo_i, hi_i) and |x_i - x_j| <= 1 for each j in
+    earlier[i] (positions below i).  Depth-first: the range of x_i is
+    narrowed by the values already placed at its earlier neighbours."""
+    n = len(ranges)
+    vec = [0] * n
 
     def rec(i):
-        if i == graph.n:
-            yield tuple(values)
+        if i == n:
+            yield tuple(vec)
             return
-        lo, hi = 0, k
-        for u in adj[i]:
-            if u < i:
-                lo = max(lo, values[u] - 1)
-                hi = min(hi, values[u] + 1)
+        lo, hi = ranges[i]
+        for j in earlier[i]:
+            x = vec[j]
+            lo = max(lo, x - 1)
+            hi = min(hi, x + 1)
         for x in range(lo, hi + 1):
-            values[i] = x
+            vec[i] = x
             yield from rec(i + 1)
 
-    yield from rec(0)
+    return rec(0)
+
+
+def enumerate_heights(graph: Graph, k: int):
+    """Yield every k-height of graph as a tuple, in lexicographic order.
+
+    Fine for small graphs; enumeration.FillingRanker counts the heights
+    of paths and cycles.
+    """
+    return assignments([(0, k)] * graph.n,
+                       earlier_neighbours(graph, range(graph.n)))
 
 
 def enumerate_cover_pairs(graph: Graph, k: int):

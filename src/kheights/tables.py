@@ -32,11 +32,10 @@ from .enumeration import (
     EnumerationCapError,
     FillingRanker,
     count_rect_extensible,
-    row_states,
     step_matrix,
 )
-from .graphs import CaseTag, case_slots
-from .heights import BoundaryConstraint
+from .graphs import CaseTag, Graph, case_slots
+from .heights import BoundaryConstraint, enumerate_heights
 
 # relative float margin below the running maximum within which candidates
 # are re-checked exactly
@@ -324,7 +323,9 @@ def rect_stat_tensors(k: int):
     Raises EnumerationCapError, before computing anything, when one
     slice would hold more than RECT_SLICE_CAP entries.
     """
-    rows = np.array(row_states([range(k + 1)] * 4))
+    # the valid 4-rows are the k-heights of a 4-vertex path
+    rows = np.array(list(enumerate_heights(
+        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), k)))
     t = len(rows)
     if t ** 3 > RECT_SLICE_CAP:
         raise EnumerationCapError(f"rect slices of {t}^3 entries exceed "

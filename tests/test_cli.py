@@ -290,6 +290,24 @@ def test_heatmap_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_heatmap_pixel_cap_exit_before_allocating(tmp_path):
+    # a 4x4 grid at scale 1024 is 2^24 pixels, the cap; 1025 is refused
+    # before its ~50 MB image is built
+    g = make_toroidal_rect(4, 4)
+    f = _write_height(tmp_path, g, [4, 4], 2, [0] * 16)
+    out = tmp_path / "img.ppm"
+    tracemalloc.start()
+    try:
+        code = main(["heatmap", "--height", str(f), "--out", str(out),
+                     "--scale", "1025"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2 ** 20
+    assert not out.exists()
+
+
 def test_heatmap_svg_fallback(tmp_path):
     g = parse_graph("cycle:5")
     f = _write_height(tmp_path, g, None, 1, [0, 1, 0, 1, 0])

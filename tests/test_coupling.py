@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -302,3 +303,20 @@ def test_strassen_singleton_shortcut():
     j = strassen_joint([(0, 1)], [(1, 1)])
     assert j.support == (((0, 1), (1, 1), Fraction(1)),)
     assert isinstance(np.int64(1), np.integer)  # numpy available
+
+
+def test_strassen_cap_exit_before_allocating():
+    # 2049 x 2049 pairs of 16-vertex fillings is the first square past
+    # ENUMERATION_CAP = 2048^2 * 16; the ~64 MiB comparison array is never
+    # built
+    low = [(0,) * 16] * 2049
+    high = [(1,) * 16] * 2049
+    assert 2049 * 2049 * 16 > coupling.ENUMERATION_CAP >= 2048 * 2048 * 16
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationCapError):
+            strassen_joint(low, high)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

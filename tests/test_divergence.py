@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,7 @@ from kheights.divergence import (
     iter_cover_pairs,
     round_half_even,
 )
-from kheights.graphs import Block, CaseTag, Graph, make_case_graph
+from kheights.graphs import Block, CaseTag, Graph, boundary, make_case_graph
 from kheights.heights import BoundaryConstraint
 
 
@@ -31,6 +32,46 @@ def test_iter_cover_pairs_structure():
         assert all(dlo[u] == dhi[u] for u in dlo if u != v)
     # k=1: pivot takes value 0 for the low side only
     assert all(lo.as_dict()[v] == 0 for lo, _ in pairs)
+
+
+def _fan_vertex_block():
+    # the boundary of block (0,) is the path 1 - 2 - 3; the pivot 3 sees
+    # only 2, so a rest assignment that breaks the edge 1 - 2 can still
+    # leave the pivot a cover pair
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    return g, Block((0,), shape="path"), 3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", [
+    lambda: make_case_graph(CaseTag("type1", (1,), 3)),
+    lambda: make_case_graph(CaseTag("type1", (2,), 5)),
+    lambda: make_case_graph(CaseTag("type1", (1, 3), 6)),
+    _fan_vertex_block,
+], ids=["1_3[1]", "1_5[2]", "1_6[1,3]", "fan"])
+def test_iter_cover_pairs_match_filtered_product(case, k):
+    """Every boundary cover pair at the pivot, from the product of all
+    rest assignments and pivot values filtered by the boundary edges, in
+    the same order."""
+    g, block, v = case()
+    bdry = sorted(boundary(g, block))
+    rest = [u for u in bdry if u != v]
+
+    def valid(vals):
+        return all(abs(vals[a] - vals[b]) <= 1 for a, b in g.edges
+                   if a in vals and b in vals)
+
+    want = []
+    for env in product(range(k + 1), repeat=len(rest)):
+        for x in range(k):
+            low = {**dict(zip(rest, env)), v: x}
+            high = {**low, v: x + 1}
+            if valid(low) and valid(high):
+                want.append((tuple(sorted(low.items())),
+                             tuple(sorted(high.items()))))
+    got = [(lo.values, hi.values)
+           for lo, hi in iter_cover_pairs(g, block, v, k)]
+    assert got == want
 
 
 def test_iter_cover_pairs_needs_boundary_pivot():

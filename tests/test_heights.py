@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,8 @@ from kheights.heights import (
     BoundaryConstraint,
     CoverPair,
     KHeight,
+    assignments,
+    earlier_neighbours,
     enumerate_cover_pairs,
     enumerate_heights,
     is_valid,
@@ -94,6 +98,23 @@ def test_enumerate_heights_lexicographic(path3):
     assert len(set(hs)) == len(hs)
 
 
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_assignments_match_filtered_product(data):
+    """The DFS lists exactly the in-range tuples that keep every edge
+    within 1, in the lexicographic order of itertools.product."""
+    g = data.draw(st.sampled_from(GRAPHS))
+    order = data.draw(st.permutations(range(g.n)))
+    ranges = []
+    for _ in order:
+        lo = data.draw(st.integers(0, 3))
+        ranges.append((lo, data.draw(st.integers(lo - 1, 4))))
+    pos = {v: i for i, v in enumerate(order)}
+    want = [x for x in product(*(range(lo, hi + 1) for lo, hi in ranges))
+            if all(abs(x[pos[u]] - x[pos[v]]) <= 1 for u, v in g.edges)]
+    assert list(assignments(ranges, earlier_neighbours(g, order))) == want
+
+
 def test_enumerate_cover_pairs_consistency(cycle4):
     k = 2
     pairs = list(enumerate_cover_pairs(cycle4, k))
@@ -109,11 +130,14 @@ def test_boundary_constraint_allowed(path3):
     block = Block(vertices=(1,), shape="path")
     c = BoundaryConstraint(((0, 2), (2, 0)))
     allowed = c.allowed(path3, block, 2)
-    assert allowed == [frozenset({1})]
+    assert allowed == [(1, 1)]
     c2 = BoundaryConstraint(((0, 0), (2, 2)))
-    assert c2.allowed(path3, block, 2) == [frozenset({1})]
+    assert c2.allowed(path3, block, 2) == [(1, 1)]
     c3 = BoundaryConstraint(((0, 0),))
-    assert c3.allowed(path3, block, 2) == [frozenset({0, 1})]
+    assert c3.allowed(path3, block, 2) == [(0, 1)]
+    # no value lies within 1 of both 0 and 3: lo > hi
+    c4 = BoundaryConstraint(((0, 0), (2, 3)))
+    assert c4.allowed(path3, block, 3) == [(2, 1)]
 
 
 def test_boundary_constraint_from_height(path3):
