@@ -99,6 +99,21 @@ def updown_result(values: list[int], adj, k: int, v: int,
     return True
 
 
+def updown_apply(values: list[int], adj, k: int, vs, ds) -> None:
+    """Apply the moves (vs[i], ds[i]) to values in order, each by the
+    rule of updown_result, inlined: one call for a stretch of moves."""
+    for v, delta in zip(vs, ds):
+        old = values[v]
+        new = old + delta
+        if 0 <= new <= k:
+            bad = old - delta
+            for u in adj[v]:
+                if values[u] == bad:
+                    break
+            else:
+                values[v] = new
+
+
 def updown_draws(rng: np.random.Generator, n: int) -> tuple[int, int, bool]:
     """The draws of one lazy up/down step in their fixed order: vertex
     uniform over range(n), offset sign (0 -> -1, 1 -> +1), then p
@@ -181,14 +196,22 @@ def updown_moves(rng: np.random.Generator, n: int, m: int):
 def step_updown(state: ChainState, steps: int = 1) -> ChainState:
     """`steps` lazy up/down transitions: the draws of updown_draws, then
     the move iff p <= 1/2 and the result is a valid k-height.  The draws
-    come a chunk at a time from updown_moves; only accepted moves are
-    visited."""
+    come a chunk at a time from updown_chunk, whose accepted moves
+    updown_apply makes in one call; a stretch the chunk does not take
+    (see updown_moves) makes the updown_draws calls instead."""
     values, adj, k = state.values, state.graph.adjacency(), state.k
+    rng, n = state.rng, state.graph.n
     for done in range(0, steps, UPDOWN_CHUNK):
-        moves, _ = updown_moves(state.rng, state.graph.n,
-                                min(UPDOWN_CHUNK, steps - done))
-        for _, v, delta in moves:
-            updown_result(values, adj, k, v, delta)
+        m = min(UPDOWN_CHUNK, steps - done)
+        chunk = updown_chunk(rng, n, m) if m >= UPDOWN_MIN_CHUNK else None
+        if chunk is None:
+            for v, delta, move in (updown_draws(rng, n) for _ in range(m)):
+                if move:
+                    updown_result(values, adj, k, v, delta)
+        else:
+            vs, ds, moves, _ = chunk
+            updown_apply(values, adj, k, vs[moves].tolist(),
+                         ds[moves].tolist())
     state.step_count += steps
     return state
 

@@ -24,6 +24,7 @@ from .graphs import (
     CaseTag,
     Graph,
     GraphError,
+    check_graph_size,
     hex_block_family,
     make_complete,
     make_toroidal_hex,
@@ -51,14 +52,21 @@ def _provenance(seed=None, graph: Graph | None = None) -> dict:
 
 def parse_graph(spec: str) -> Graph:
     """Builtin generator specs (rect:GxH, hex:GxH, complete:N, path:N,
-    cycle:N) or a JSON file path."""
+    cycle:N) or a JSON file path.  EnumerationCapError, before building,
+    for a graph past graphs.GRAPH_MAX_SIZE."""
     m = re.fullmatch(r"(rect|hex):(\d+)x(\d+)", spec)
     if m:
-        maker = make_toroidal_rect if m.group(1) == "rect" else make_toroidal_hex
-        return maker(int(m.group(2)), int(m.group(3)))
+        g, h = int(m.group(2)), int(m.group(3))
+        if m.group(1) == "rect":
+            check_graph_size(g * h, 2 * g * h)
+            return make_toroidal_rect(g, h)
+        check_graph_size(2 * g * h, 3 * g * h)
+        return make_toroidal_hex(g, h)
     m = re.fullmatch(r"(complete|path|cycle):(\d+)", spec)
     if m:
         n = int(m.group(2))
+        check_graph_size(n, {"complete": n * (n - 1) // 2,
+                             "path": max(n - 1, 0), "cycle": n}[m.group(1)])
         if m.group(1) == "complete":
             return make_complete(n)
         if m.group(1) == "path":

@@ -10,9 +10,11 @@ integer draws only, so trajectories are exactly reproducible.
 from __future__ import annotations
 
 from array import array
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
+from threading import Lock
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -23,6 +25,7 @@ from .chains import (
     UPDOWN_MIN_CHUNK,
     BlockSampler,
     make_rng,
+    updown_apply,
     updown_moves,
     updown_result,
 )
@@ -225,6 +228,14 @@ def coupled_block_step(coupled: CoupledState,
     boundary the two fillings are drawn from the Strassen joint; distant
     pairs go through the cover-chain decomposition with the same block,
     linking conditional draws so the endpoints stay comparable.
+
+    Two links with L != H fillings have different filling lists, so
+    strassen_joint would refuse them when L * H * m passes
+    ENUMERATION_CAP (m vertices a filling).  That EnumerationCapError is
+    raised first from the BlockSampler.ranked counts, which list nothing
+    for a ranker-shaped block (enumeration.dp_shape).  Links with L == H
+    may have equal lists, which need no joint, and are left to
+    strassen_joint.
     """
     rng = coupled.rng
     p = float(rng.random())
@@ -236,6 +247,13 @@ def coupled_block_step(coupled: CoupledState,
     low = KHeight(coupled.graph, coupled.k, tuple(coupled.low))
     high = KHeight(coupled.graph, coupled.k, tuple(coupled.high))
     chain = [low.values] + [hi.values for _lo, hi in path_decompose(low, high)]
+    m = len(sampler.family.blocks[b].vertices)
+    sizes = [sampler.ranked(b, z)[0] for z in chain]
+    for L, H in zip(sizes, sizes[1:]):
+        if L != H and L * H * m > ENUMERATION_CAP:
+            raise EnumerationCapError(
+                f"{L} x {H} filling pairs of {m} vertices exceed "
+                f"cap {ENUMERATION_CAP}")
     fillings = [sampler.fillings_for(b, z) for z in chain]
     f = f_low = fillings[0][int(rng.integers(len(fillings[0])))]
     for i in range(1, len(chain)):
@@ -282,9 +300,83 @@ def expected_coupled_updown_distance(x: KHeight, y: KHeight) -> Fraction:
 #: last); rect:128x128 at k=3 coalesced at the cap with seed 0
 CFTP_MAX_SLOTS = 1 << 25
 
+#: epochs of up to this many slots decode their draws from raw Philox
+#: words (~40 bytes a slot while decoding); longer ones, where the fixed
+#: cost of the Generator calls no longer counts, take those calls
+CFTP_RAW_SLOTS = 1 << 16
+
+#: coalescence epochs cftp_sample remembers per (graph, k) key, and keys
+CFTP_MEMO_EPOCHS = 16
+CFTP_MEMO_KEYS = 64
+
+#: (graph.n, hash(graph.edges), k) -> the last CFTP_MEMO_EPOCHS
+#: coalescence epochs, least recently used key first; the lock keeps a
+#: key another thread evicts from being moved
+_cftp_epochs: OrderedDict = OrderedDict()
+_cftp_epochs_lock = Lock()
+
 #: coupled steps per coalescence trial before coupling_time_estimate
 #: gives up; a trial stores nothing per step, so this bounds time only
 COALESCENCE_MAX_STEPS = 10 ** 7
+
+
+def cftp_epoch_draws(seed: int, e: int, n: int):
+    """The draws of CFTP epoch e, 1 slot for e = 0 and 2^(e-1) after:
+    vertices, signs in {0, 1} and p <= 1/2 flags, equal to the calls
+
+        rng = Generator(Philox(SeedSequence((seed, e))))
+        rng.integers(0, n, size), rng.integers(0, 2, size),
+        rng.random(size) <= 0.5
+
+    Up to CFTP_RAW_SLOTS slots and for 1 < n < 2^32 they are decoded from
+    2 * size raw words (see the chains module docstring): those calls
+    read the 2 * size 32-bit halves of the first size words, low half
+    first, for the vertices (Lemire's (u*n) >> 32) and then the signs
+    (the top bit), and the last size words for p ((w >> 11) <= 2^52).
+    When a vertex draw would be rejected ((u*n) mod 2^32 < 2^32 mod n),
+    which shifts every later draw, the calls are made instead."""
+    size = 1 if e == 0 else 1 << (e - 1)
+    entropy = np.random.SeedSequence(entropy=(seed, e))
+    if 1 < n < 1 << 32 and size <= CFTP_RAW_SLOTS:
+        raw = np.random.Philox(entropy).random_raw(2 * size)
+        halves = raw[:size].astype("<u8", copy=False).view("<u4")
+        prod = halves[:size] * np.uint64(n)
+        threshold = (1 << 32) % n
+        # astype(uint32) keeps (u*n) mod 2^32; (w >> 11) <= 2^52 holds
+        # exactly when w < 2^63 + 2^11
+        if not threshold or prod.astype(np.uint32).min() >= threshold:
+            return (prod >> 32, halves[size:] >> 31,
+                    raw[size:] < np.uint64((1 << 63) + (1 << 11)))
+    # narrowed as soon as drawn: ~14 bytes a slot at the peak
+    rng = np.random.Generator(np.random.Philox(entropy))
+    return (rng.integers(0, n, size=size, dtype=np.int64)
+            .astype(np.int32 if n <= 1 << 31 else np.int64),
+            rng.integers(0, 2, size=size, dtype=np.int64).astype(np.int8),
+            rng.random(size=size) <= 0.5)
+
+
+def cftp_first_epoch(epochs) -> int:
+    """The epoch g at which to start, given earlier coalescence epochs:
+    the one that minimises the summed slot cost of the runs, 2^g for an
+    epoch e < g and 2^g + ... + 2^e = 2^(e+1) - 2^g otherwise; 0 with no
+    history.  Between two remembered epochs that cost is a multiple of
+    2^g plus a constant, so the least lies at a remembered epoch; the
+    smallest one wins a tie."""
+    return min(sorted(set(epochs)), default=0, key=lambda g: sum(
+        (1 << g) if g > e else (2 << e) - (1 << g) for e in epochs))
+
+
+def _remembered_epochs(graph: Graph, k: int) -> deque:
+    key = (graph.n, hash(graph.edges), k)
+    with _cftp_epochs_lock:
+        epochs = _cftp_epochs.get(key)
+        if epochs is None:
+            epochs = _cftp_epochs[key] = deque(maxlen=CFTP_MEMO_EPOCHS)
+            if len(_cftp_epochs) > CFTP_MEMO_KEYS:
+                _cftp_epochs.popitem(last=False)
+        else:
+            _cftp_epochs.move_to_end(key)
+    return epochs
 
 
 def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
@@ -293,46 +385,62 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
     Monotone grand coupling of the up/down chain run from the all-zero
     and all-k states, from time -T to 0 with T doubling per epoch; the
     randomness of each time slot is fixed once and reused by every
-    epoch (slot arrays are keyed by the epoch that created them).  Only
-    the accepted slots are kept, and once the two chains meet at a
-    segment boundary the rest of that run steps one of them.  Raises
-    EnumerationCapError before drawing an epoch that would cover more
-    than CFTP_MAX_SLOTS slots.
+    epoch: epoch e covers slots [-2^e, -2^(e-1)) and draws them from
+    its own key (seed, e) (cftp_epoch_draws).  Only the accepted slots
+    are kept.  A run steps the two chains one segment at a time with
+    chains.updown_apply, the low one first; they do not interact inside
+    a segment, so this is the same as stepping them in turn, and once
+    they meet at a segment boundary the rest of the run steps one.
+
+    The first run starts at a guessed epoch g, not at 0: all segments
+    0..g are drawn, and T doubles from 2^g on failure.  Once the run
+    from -2^e* coalesces, every run from -2^e with e >= e* coalesces to
+    the same state (Propp & Wilson 1996).  So a run from -2^g that
+    coalesces returns the sample of the run from -2^e*, and one that
+    does not shows e* > g: the skipped runs, from -2^e with e < g, would
+    not have coalesced either.  The sample does not depend on g.
+    g is cftp_first_epoch of the coalescence epochs of earlier samples
+    of the same (n, edges, k), kept in a process-wide memo of
+    CFTP_MEMO_KEYS keys (least recently used first out) of the last
+    CFTP_MEMO_EPOCHS epochs each.  The key holds the hash of the edge
+    set, not the set, so the memo holds no graph; two graphs that share
+    a key share a history, which again moves only the time.  A first
+    run that coalesces shows only e* <= g; it records g - 1, so that the
+    guess can come down again (recording g would ratchet it up for good:
+    every record would be >= g).  A later epoch that coalesces is e*.
+
+    Raises EnumerationCapError before drawing an epoch that would cover
+    more than CFTP_MAX_SLOTS slots.  g is clamped to the last epoch the
+    cap allows, so it raises exactly where a start at 0 does.
     """
     if k == 0:
         return KHeight.constant(graph, k, 0)
     n = graph.n
     adj = graph.adjacency()
-    segments = []  # epoch e covers time slots [-2^e, -2^(e-1))
-
-    def epoch_slots(e: int, length: int):
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=(seed, e))))
-        vs = rng.integers(0, n, size=length, dtype=np.int64).astype(np.int32)
-        ds = rng.integers(0, 2, size=length, dtype=np.int64).astype(np.int8)
-        acc = rng.random(size=length) <= 0.5
-        return array("i", vs[acc].tobytes()), array("b", (2 * ds[acc] - 1)
-                                                     .tobytes())
-
+    epochs = _remembered_epochs(graph, k)
+    first = min(cftp_first_epoch(tuple(epochs)),  # another thread may append
+                CFTP_MAX_SLOTS.bit_length() - 1)
+    segments = []
     for e in count():
         if 1 << e > CFTP_MAX_SLOTS:
             raise EnumerationCapError(
                 f"no coalescence within {CFTP_MAX_SLOTS} steps")
-        length = 1 if e == 0 else 1 << (e - 1)
-        segments.append(epoch_slots(e, length))
-        lo = [0] * n
-        hi = [k] * n
-        # oldest randomness first: epoch e covers the earliest slots
-        for vs, ds in reversed(segments):
-            if lo == hi:  # coalesced: the rest of the run is one chain
-                hi = lo
-                for v, delta in zip(vs, ds):
-                    updown_result(lo, adj, k, v, delta)
-            else:
-                for v, delta in zip(vs, ds):
-                    updown_result(lo, adj, k, v, delta)
-                    updown_result(hi, adj, k, v, delta)
-        if lo == hi:
+        vs, ds, acc = cftp_epoch_draws(seed, e, n)
+        segments.append((
+            array("i", vs[acc].astype(np.int32, copy=False).tobytes()),
+            array("b", (2 * ds[acc].astype(np.int8, copy=False) - 1)
+                  .tobytes())))
+        if e < first:
+            continue
+        lo, hi = [0] * n, [k] * n
+        for vs, ds in reversed(segments):  # oldest randomness first
+            updown_apply(lo, adj, k, vs, ds)
+            if hi is not lo:
+                updown_apply(hi, adj, k, vs, ds)
+                if lo == hi:  # coalesced: the rest of the run is one chain
+                    hi = lo
+        if hi is lo:
+            epochs.append(e - 1 if e == first > 0 else e)
             return KHeight(graph, k, tuple(lo))
 
 

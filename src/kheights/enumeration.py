@@ -20,7 +20,12 @@ from itertools import product
 
 import numpy as np
 
-from .graphs import Block, Graph, boundary
+from .graphs import (  # noqa: F401  (EnumerationCapError re-exported)
+    Block,
+    EnumerationCapError,
+    Graph,
+    boundary,
+)
 from .heights import (  # noqa: F401  (re-exported counting entry points)
     BoundaryConstraint,
     assignments,
@@ -31,10 +36,6 @@ from .heights import (  # noqa: F401  (re-exported counting entry points)
 
 #: raw-assignment cap for brute-force fallbacks
 ENUMERATION_CAP = 1 << 26
-
-
-class EnumerationCapError(RuntimeError):
-    """Raised before a computation would exceed a size cap (exit 4)."""
 
 
 def step_matrix(a, b=None, span: int = 1, dtype=object) -> np.ndarray:

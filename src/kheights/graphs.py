@@ -24,6 +24,25 @@ class GraphError(ValueError):
     """Raised for invalid graph or block-family constructions."""
 
 
+class EnumerationCapError(RuntimeError):
+    """Raised before a computation would exceed a size cap (exit 4)."""
+
+
+#: vertices plus edges of the largest graph that parse specs and JSON
+#: records build: ~45 MiB and ~1.5 s at the cap (complete:700 has
+#: 245,350); rect:256x256 has 196,608 and rect:128x128 49,152
+GRAPH_MAX_SIZE = 1 << 18
+
+
+def check_graph_size(n: int, edges: int) -> None:
+    """Raise EnumerationCapError, before a graph of n vertices and
+    `edges` edges is built, when n + edges passes GRAPH_MAX_SIZE."""
+    if n + edges > GRAPH_MAX_SIZE:
+        raise EnumerationCapError(
+            f"a graph of {n} vertices and {edges} edges exceeds "
+            f"{GRAPH_MAX_SIZE} vertices plus edges")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected simple graph on vertices 0..n-1."""
@@ -77,7 +96,8 @@ class Graph:
     def from_json_dict(cls, d) -> "Graph":
         """The graph of a to_json_dict record.  GraphError unless n is a
         non-negative integer, the edges integer pairs and dims, if
-        given, a pair of positive integers."""
+        given, a pair of positive integers; EnumerationCapError, before
+        building it, past GRAPH_MAX_SIZE."""
         if not isinstance(d, dict):
             raise GraphError("a graph record must be a JSON object")
         n, edges, dims = d["n"], d["edges"], d.get("dims")
@@ -91,6 +111,7 @@ class Graph:
                 type(x) is int and x > 0 for x in dims)):
             raise GraphError(f"dims must be two positive integers, "
                              f"got {dims!r}")
+        check_graph_size(n, len(edges))
         return cls.from_edges(n, [tuple(e) for e in edges],
                               kind=d.get("kind"),
                               dims=tuple(dims) if dims else None)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from array import array
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -20,6 +21,7 @@ from kheights.chains import (
     transition_matrix_updown,
     updown_chunk,
     updown_draws,
+    updown_apply,
     updown_moves,
     updown_result,
 )
@@ -99,6 +101,28 @@ def test_updown_result_matches_is_valid(data):
                 assert values == moved and is_valid(g, moved, k)
             else:
                 assert values == list(start) and not is_valid(g, moved, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(strategies.data())
+def test_updown_apply_matches_successive_updown_result(data):
+    """One updown_apply call over a stretch of moves, from an array or a
+    list, ends where one updown_result call per move does."""
+    g = data.draw(strategies.sampled_from(small_graphs()))
+    k = data.draw(strategies.integers(0, 3))
+    start = data.draw(strategies.sampled_from(list(enumerate_heights(g, k))))
+    moves = data.draw(strategies.lists(strategies.tuples(
+        strategies.integers(0, g.n - 1), strategies.sampled_from((-1, 1))),
+        max_size=60))
+    adj = g.adjacency()
+    want = list(start)
+    for v, delta in moves:
+        updown_result(want, adj, k, v, delta)
+    vs, ds = [v for v, _ in moves], [d for _, d in moves]
+    for cols in ((vs, ds), (array("i", vs), array("b", ds))):
+        values = list(start)
+        updown_apply(values, adj, k, *cols)
+        assert values == want
 
 
 def test_chain_determinism(path3):

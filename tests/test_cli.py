@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from kheights import __version__, cli, coupling
+from kheights import __version__, chains, cli, coupling, graphs
 from kheights.cli import _ramp, main, parse_case, parse_graph
 from kheights.graphs import make_toroidal_rect
 
@@ -76,6 +76,61 @@ def test_tables_work_cap_exit_before_allocating():
         tracemalloc.stop()
     assert code == 4
     assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", ["complete:724", "rect:296x296",
+                                  "hex:229x229", "path:131073",
+                                  "cycle:131073"])
+def test_graph_spec_cap_exit_before_building(spec):
+    # the first refused size of each spec: n + edges passes
+    # GRAPH_MAX_SIZE = 2^18 (complete:723 has 261,726, rect:295x296
+    # 261,960 and hex:229x228 261,060, path:131072 and cycle:131072
+    # 262,143 and 262,144); the refused graph is never built
+    tracemalloc.start()
+    try:
+        code = main(["run", "--chain", "updown", "--graph", spec, "--k", "1",
+                     "--steps", "1", "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2 ** 20
+
+
+def test_graph_json_cap_exit_before_building(tmp_path):
+    n = graphs.GRAPH_MAX_SIZE - 2
+    ok, big = tmp_path / "ok.json", tmp_path / "big.json"
+    ok.write_text(json.dumps({"n": n, "edges": [[0, 1], [1, 2]]}))
+    big.write_text(json.dumps({"n": n + 1, "edges": [[0, 1], [1, 2]]}))
+    assert parse_graph(str(ok)).n == n
+    tracemalloc.start()
+    try:
+        code = main(["run", "--chain", "updown", "--graph", str(big),
+                     "--k", "1", "--steps", "1", "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2 ** 20
+
+
+def test_graph_cap_sizes_around_the_first_refused_spec():
+    cap = graphs.GRAPH_MAX_SIZE
+    assert 723 + 723 * 722 // 2 <= cap < 724 + 724 * 723 // 2
+    assert 3 * 295 * 296 <= cap < 3 * 296 * 296
+    assert 5 * 229 * 228 <= cap < 5 * 229 * 229
+    assert parse_graph("rect:128x128").n == 16384
+
+
+def test_block_coupling_refused_from_counts_before_listing(monkeypatch):
+    # the 4x4 blocks of rect:8x8 at k=2 have ~75k fillings a link: the
+    # ranker counts refuse the joint before any filling list is built
+    def listed(*args, **kwargs):
+        raise AssertionError("fillings listed")
+
+    monkeypatch.setattr(chains, "enumerate_fillings", listed)
+    assert main(["couple-time", "--chain", "block", "--graph", "rect:8x8",
+                 "--k", "2", "--trials", "1"]) == 4
 
 
 def test_sample_slot_cap_exits_4(monkeypatch):

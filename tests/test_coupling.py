@@ -267,6 +267,160 @@ def test_cftp_uniform_small(path3):
     assert chi2 < 39.25  # df=16 at 99.9%
 
 
+def _cftp_doubling(graph, k, seed):
+    """The doubling loop cftp_sample replaced, kept as its oracle: runs
+    from -2^e for e = 0, 1, ... with the Generator draws of each epoch
+    and one updown_result call per accepted move and chain.  Returns the
+    sample and the coalescence epoch e*."""
+    n, adj = graph.n, graph.adjacency()
+    segments = []
+    for e in range(64):
+        if 1 << e > coupling.CFTP_MAX_SLOTS:
+            raise EnumerationCapError("no coalescence")
+        size = 1 if e == 0 else 1 << (e - 1)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=(seed, e))))
+        vs = rng.integers(0, n, size=size, dtype=np.int64)
+        ds = rng.integers(0, 2, size=size, dtype=np.int64)
+        acc = rng.random(size=size) <= 0.5
+        segments.append([(int(v), 2 * int(d) - 1)
+                         for v, d, a in zip(vs, ds, acc) if a])
+        lo, hi = [0] * n, [k] * n
+        for seg in reversed(segments):
+            for v, delta in seg:
+                updown_result(lo, adj, k, v, delta)
+                updown_result(hi, adj, k, v, delta)
+        if lo == hi:
+            return tuple(lo), e
+    raise AssertionError("no coalescence in 64 epochs")
+
+
+@pytest.fixture
+def cold_cftp_memo():
+    saved = dict(coupling._cftp_epochs)
+    coupling._cftp_epochs.clear()
+    yield coupling._cftp_epochs
+    coupling._cftp_epochs.clear()
+    coupling._cftp_epochs.update(saved)
+
+
+def _remember(graph, k, epochs):
+    coupling._cftp_epochs.clear()
+    coupling._remembered_epochs(graph, k).extend(epochs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=strategies.sampled_from(small_graphs()), k=strategies.integers(1, 3),
+       seed=strategies.integers(0, 2 ** 63 - 1),
+       start=strategies.sampled_from(["cold", "below", "at", "above",
+                                      "far above"]))
+def test_cftp_matches_the_doubling_loop(g, k, seed, start):
+    """cftp_sample returns the oracle's sample with the memo cold and
+    with it seeded so that the first run starts below, at or above e*,
+    and records e*, or g - 1 when the first run at g > 0 coalesces."""
+    want, estar = _cftp_doubling(g, k, seed)
+    g0 = {"cold": None, "below": max(estar - 2, 0), "at": estar,
+          "above": estar + 1, "far above": estar + 4}[start]
+    saved = dict(coupling._cftp_epochs)
+    try:
+        _remember(g, k, [] if g0 is None else [g0])
+        assert cftp_sample(g, k, seed).values == want
+        first = g0 or 0
+        recorded = estar if estar > first else max(first - 1, 0)
+        assert list(coupling._remembered_epochs(g, k))[-1] == recorded
+    finally:
+        coupling._cftp_epochs.clear()
+        coupling._cftp_epochs.update(saved)
+
+
+def test_cftp_first_epoch_minimises_the_slot_cost():
+    def cost(g, epochs):
+        return sum((1 << g) if g > e else (2 << e) - (1 << g)
+                   for e in epochs)
+
+    rnd = random.Random(3)
+    assert coupling.cftp_first_epoch([]) == 0
+    for _ in range(300):
+        epochs = [rnd.randrange(12) for _ in range(rnd.randrange(1, 17))]
+        best = min(range(14), key=lambda g: cost(g, epochs))
+        assert coupling.cftp_first_epoch(epochs) == best
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 16, 36, 64, 256, 1000])
+def test_cftp_epoch_draws_decode_the_generator_calls(n):
+    """Epochs of up to CFTP_RAW_SLOTS slots are decoded from raw words
+    without a Generator and equal its calls draw for draw."""
+    for seed in (0, 1, 2 ** 40 + 7, 2 ** 63 + 5):
+        for e in range(12):
+            size = 1 if e == 0 else 1 << (e - 1)
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=(seed, e))))
+            want = (rng.integers(0, n, size=size, dtype=np.int64),
+                    rng.integers(0, 2, size=size, dtype=np.int64),
+                    rng.random(size=size) <= 0.5)
+            with mock.patch.object(np.random, "Generator",
+                                   side_effect=AssertionError("fallback")):
+                got = coupling.cftp_epoch_draws(seed, e, n)
+            for a, b in zip(got, want):
+                assert a.tolist() == b.tolist()
+
+
+def test_cftp_epoch_draws_fall_back_on_a_rejected_vertex(monkeypatch):
+    # at n = 3 * 2^30 a quarter of the vertex draws are rejected and
+    # redrawn, which shifts every later draw; n = 1 draws no vertex, and
+    # epochs past CFTP_RAW_SLOTS make the calls too
+    def generator_calls(seed, e, n):
+        size = 1 if e == 0 else 1 << (e - 1)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(entropy=(seed, e))))
+        return (rng.integers(0, n, size=size, dtype=np.int64).tolist(),
+                rng.integers(0, 2, size=size, dtype=np.int64).tolist(),
+                (rng.random(size=size) <= 0.5).tolist())
+
+    n = 3 * 2 ** 30
+    raw = np.random.Philox(np.random.SeedSequence(
+        entropy=(5, 6))).random_raw(32)[:16]
+    halves = raw.astype("<u8").view("<u4")[:32].astype(np.uint64)
+    assert ((halves * np.uint64(n)) % 2 ** 32 < 2 ** 32 % n).any()
+    for seed, e, m in ((5, 6, n), (5, 0, 1), (9, 7, 1)):
+        got = coupling.cftp_epoch_draws(seed, e, m)
+        assert [a.tolist() for a in got] == list(generator_calls(seed, e, m))
+    monkeypatch.setattr(coupling, "CFTP_RAW_SLOTS", 4)
+    got = coupling.cftp_epoch_draws(3, 5, 36)
+    assert [a.tolist() for a in got] == list(generator_calls(3, 5, 36))
+
+
+def test_cftp_cap_raises_where_a_cold_start_does(monkeypatch,
+                                                 cold_cftp_memo):
+    # with a warm memo of high epochs the guess is clamped to the last
+    # epoch the cap allows: the sample passes with the cap at 2^e* slots
+    # and raises one slot below, as the cold loop does
+    g = make_toroidal_rect(4, 4)
+    want, estar = _cftp_doubling(g, 2, 21)
+    for epochs in ([], [estar + 3] * 16, [30] * 16):
+        for slots, passes in ((1 << estar, True), ((1 << estar) - 1, False),
+                              (0, False)):
+            _remember(g, 2, epochs)
+            monkeypatch.setattr(coupling, "CFTP_MAX_SLOTS", slots)
+            if passes:
+                assert cftp_sample(g, 2, 21).values == want
+            else:
+                with pytest.raises(EnumerationCapError):
+                    cftp_sample(g, 2, 21)
+
+
+def test_cftp_memo_is_bounded(cold_cftp_memo):
+    for n in range(2, 2 + coupling.CFTP_MEMO_KEYS + 6):
+        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+        for seed in range(coupling.CFTP_MEMO_EPOCHS + 2 if n > 66 else 1):
+            cftp_sample(g, 1, seed)
+    assert len(cold_cftp_memo) == coupling.CFTP_MEMO_KEYS
+    assert max(map(len, cold_cftp_memo.values())) == \
+        coupling.CFTP_MEMO_EPOCHS
+    # the least recently used keys went first
+    assert min(n for n, _, _ in cold_cftp_memo) == 8
+
+
 def test_noncontraction_witness_13_6(path3):
     x = KHeight(path3, 3, (1, 0, 1))
     y = KHeight(path3, 3, (1, 2, 1))

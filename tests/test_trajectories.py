@@ -39,6 +39,13 @@ CASES = {
          "--seed", "13"],
         "c8bd7931426c564a93e9c3e0af615c18"
         "fdcfb9f9eab36a5a25952ab65e3ab8db"),
+    # n = 36 is not a power of two: the vertex draws take the Lemire
+    # rejection test, whose threshold 2^32 mod 36 = 4 is not 0
+    "sample rect:6x6": (
+        ["sample", "--graph", "rect:6x6", "--k", "2", "--n", "5",
+         "--seed", "17"],
+        "ccbab71fbadfbd57a40462679b5d3fb0"
+        "8051b4733c43ca9444e30e0e0426287f"),
     "couple-time updown rect:6x6": (
         ["couple-time", "--chain", "updown", "--graph", "rect:6x6",
          "--k", "2", "--trials", "3", "--seed", "14"],
