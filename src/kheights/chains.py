@@ -7,7 +7,7 @@ draw order per step is fixed and documented on each step function; tests
 and the CLI rely on it.
 
 The up/down draws are the scalar calls of updown_draws, which stays as
-the reference; updown_chunk decodes the same values for up to
+the reference; updown_moves decodes the same values for up to
 UPDOWN_CHUNK steps at a time from one random_raw block of 64-bit Philox
 words, mirroring numpy's internals:
 
@@ -15,20 +15,20 @@ words, mirroring numpy's internals:
   for the next 32-bit draw (has_uint32, uinteger);
 - integers(n) for 2 <= n < 2^32 is Lemire's method on one 32-bit draw u:
   the vertex is (u*n) >> 32, redrawn while (u*n) mod 2^32 is below
-  (2^32 - n) mod n; integers(1) draws nothing;
+  (2^32 - n) mod n; integers(1) draws nothing (decode_integers);
 - integers(2) is the top bit of a 32-bit draw, so after a vertex that
   took a word's low half it is bit 63 of that word;
 - random() is (w >> 11) * 2^-53 of a whole word, so random() <= 1/2
-  holds exactly when (w >> 11) <= 2^52.
+  holds exactly when (w >> 11) <= 2^52 (decode_at_most_half).
 
-So a step takes two words, and the chunk is decoded with numpy array
+So a step takes two words, and a chunk is decoded with numpy array
 operations when 1 < n < 2^32 (the product u*n is exact in uint64 only
 for n < 2^32), no high half is kept at entry and no vertex draw is
 rejected; it ends in the state the scalar calls leave: counter,
-buffer, buffer_pos, has_uint32 and uinteger.  Otherwise updown_chunk
-puts the generator back to its entry state and returns None, and
-updown_moves takes the scalar calls, drawn as its moves are visited,
-as it does for chunks below UPDOWN_MIN_CHUNK steps.
+buffer, buffer_pos, has_uint32 and uinteger.  Otherwise, and for
+chunks below UPDOWN_MIN_CHUNK steps, updown_moves puts the generator
+back to its entry state and makes the updown_draws calls.  CFTP decodes
+its epoch draws with the same two functions.
 """
 
 from __future__ import annotations
@@ -135,85 +135,73 @@ UPDOWN_MIN_CHUNK = 4
 _LOW32 = 0xFFFFFFFF
 
 
-def updown_chunk(rng: np.random.Generator, n: int, m: int):
-    """The draws of m calls of updown_draws(rng, n) as arrays (vertices,
-    offsets, moves) and a function settle(j) that puts the generator
-    back to where the first j of those calls leave it; on return it is
-    where all m leave it.  None, with the generator at its entry state,
-    when the chunk cannot be decoded.  See the module docstring for the
-    decoding."""
-    bg = rng.bit_generator
-    entry = bg.state
-    if not 1 < n < 1 << 32 or entry["has_uint32"]:
-        return None
-    raw = bg.random_raw(2 * m)
-    first = raw[0::2]
-    prod = (first & _LOW32) * np.uint64(n)
+def decode_integers(u, n: int):
+    """numpy's integers(n), 1 < n < 2^32, on the 32-bit draws u (a uint32
+    or uint64 array): Lemire's (u*n) >> 32 as uint64, or None when a draw
+    would be rejected ((u*n) mod 2^32 < 2^32 mod n), which shifts every
+    later draw."""
+    prod = u * np.uint64(n)
     threshold = (1 << 32) % n
     if threshold and ((prod & _LOW32) < threshold).any():
-        bg.state = entry
         return None
+    return prod >> 32
 
-    def land(j: int) -> None:
-        # j steps take 2j words; the offset draw of the last one used the
-        # kept high half of its vertex word, which stays in uinteger
-        state = bg.state
-        state["has_uint32"] = 0
-        state["uinteger"] = int(first[j - 1] >> 32)
-        bg.state = state
 
-    def settle(j: int) -> None:
-        bg.state = entry
-        if j:
-            bg.random_raw(2 * j)
-            land(j)
-
-    if m:
-        land(m)
-    return ((prod >> 32).astype(np.int64),
-            2 * (first >> 63).astype(np.int64) - 1,
-            raw[1::2] >> 11 <= np.uint64(1 << 52), settle)
+def decode_at_most_half(words):
+    """random() <= 1/2 of whole 64-bit words: (w >> 11) <= 2^52."""
+    return words >> 11 <= np.uint64(1 << 52)
 
 
 def updown_moves(rng: np.random.Generator, n: int, m: int):
-    """The accepted moves of m up/down steps as an iterator of (step,
-    vertex, offset) triples, and settle(j) for a caller that stops after
-    the move at step j - 1: it leaves the generator where the draws of
-    the first j steps do.  From UPDOWN_MIN_CHUNK steps on the draws come
-    from updown_chunk; below it, or when the chunk cannot be decoded,
-    from updown_draws, drawn as the iterator advances, so stopping leaves
-    the generator there already."""
-    chunk = updown_chunk(rng, n, m) if m >= UPDOWN_MIN_CHUNK else None
-    if chunk is None:
-        draws = (updown_draws(rng, n) for _ in range(m))
-        return ((j, v, delta) for j, (v, delta, move) in enumerate(draws)
-                if move), lambda j: None
-    vs, ds, moves, settle = chunk
-    (at,) = np.nonzero(moves)
-    return zip(at.tolist(), vs[at].tolist(), ds[at].tolist()), settle
+    """The accepted moves of m calls of updown_draws(rng, n) as lists
+    (steps, vertices, offsets), with the generator left where those calls
+    leave it.  From UPDOWN_MIN_CHUNK steps on they are decoded from one
+    random_raw block when the module docstring's conditions hold;
+    otherwise the generator is put back and the calls are made."""
+    if m >= UPDOWN_MIN_CHUNK and 1 < n < 1 << 32:
+        bg = rng.bit_generator
+        entry = bg.state
+        if not entry["has_uint32"]:
+            raw = bg.random_raw(2 * m)
+            first = raw[0::2]
+            vs = decode_integers(first & _LOW32, n)
+            if vs is not None:
+                # the offset draw of the last step used the kept high
+                # half of its vertex word, which stays in uinteger
+                state = bg.state
+                state["has_uint32"] = 0
+                state["uinteger"] = int(first[-1] >> 32)
+                bg.state = state
+                (at,) = np.nonzero(decode_at_most_half(raw[1::2]))
+                return (at.tolist(), vs[at].tolist(),
+                        (2 * (first[at] >> 63).astype(np.int64) - 1).tolist())
+            bg.state = entry
+    steps, vertices, offsets = [], [], []
+    for j in range(m):
+        v, delta, move = updown_draws(rng, n)
+        if move:
+            steps.append(j)
+            vertices.append(v)
+            offsets.append(delta)
+    return steps, vertices, offsets
 
 
 def step_updown(state: ChainState, steps: int = 1) -> ChainState:
     """`steps` lazy up/down transitions: the draws of updown_draws, then
-    the move iff p <= 1/2 and the result is a valid k-height.  The draws
-    come a chunk at a time from updown_chunk, whose accepted moves
-    updown_apply makes in one call; a stretch the chunk does not take
-    (see updown_moves) makes the updown_draws calls instead."""
+    the move iff p <= 1/2 and the result is a valid k-height.  Each chunk
+    of up to UPDOWN_CHUNK steps is one updown_moves call, whose accepted
+    moves updown_apply makes in one call."""
     values, adj, k = state.values, state.graph.adjacency(), state.k
     rng, n = state.rng, state.graph.n
     for done in range(0, steps, UPDOWN_CHUNK):
-        m = min(UPDOWN_CHUNK, steps - done)
-        chunk = updown_chunk(rng, n, m) if m >= UPDOWN_MIN_CHUNK else None
-        if chunk is None:
-            for v, delta, move in (updown_draws(rng, n) for _ in range(m)):
-                if move:
-                    updown_result(values, adj, k, v, delta)
-        else:
-            vs, ds, moves, _ = chunk
-            updown_apply(values, adj, k, vs[moves].tolist(),
-                         ds[moves].tolist())
+        updown_apply(values, adj, k, *updown_moves(
+            rng, n, min(UPDOWN_CHUNK, steps - done))[1:])
     state.step_count += steps
     return state
+
+
+#: entries of a BlockSampler's filling-list cache
+FILLINGS_CACHE_SIZE = 4096
 
 
 class BlockSampler:
@@ -225,16 +213,16 @@ class BlockSampler:
     blocks of every sampler share; heights.value_ranges reads the allowed
     ranges straight from the values of each block vertex's external
     neighbours.  Per-layer ranker counters read filling_ranker.cache_info()
-    (hits, misses, entries).  Other blocks draw from the enumerated filling list, which
-    fillings_for serves with a per-sampler cache of cache_size entries
-    keyed by (block index, boundary values); the coupled step and the
-    exact transition matrix read that list for every block.  The cache
-    wraps a closure that does not hold the sampler, so a dropped sampler
-    is freed at once, not at the next full collection.
+    (hits, misses, entries).  Other blocks draw from the enumerated
+    filling list, which fillings_for serves with a per-sampler cache of
+    FILLINGS_CACHE_SIZE entries keyed by (block index, boundary values);
+    the coupled step and the exact transition matrix read that list for
+    every block.  The cache wraps a closure that does not hold the
+    sampler, so a dropped sampler is freed at once, not at the next full
+    collection.
     """
 
-    def __init__(self, graph: Graph, family: BlockFamily, k: int,
-                 cache_size: int = 4096):
+    def __init__(self, graph: Graph, family: BlockFamily, k: int):
         self.graph = graph
         self.family = family
         self.k = k
@@ -254,7 +242,7 @@ class BlockSampler:
                 tuple(zip(bdry[block_idx], bvals)))
             return enumerate_fillings(graph, blocks[block_idx], constraint, k)
 
-        self._fillings = lru_cache(maxsize=cache_size)(fillings)
+        self._fillings = lru_cache(maxsize=FILLINGS_CACHE_SIZE)(fillings)
 
     def pick_block(self, r: int) -> int:
         """Block index for a draw r uniform in [0, total multiplicity)."""

@@ -157,7 +157,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_divergence(args) -> int:
-    if args.case:
+    if args.case is not None:
         rep = case_divergence(parse_case(args.case), args.k)
     else:
         reps = reproduce_table(args.family, args.k)
@@ -406,19 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tables", help="reproduce a divergence table")
     t.add_argument("--id", required=True,
                    choices=["rect", "hex", "type1", "type2"])
-    t.add_argument("--k", type=int, required=True)
+    t.add_argument("--k", type=_int_at_least(0), required=True)
     t.add_argument("--case", help="restrict to one case, e.g. 1_6[1]")
     t.add_argument("--out")
 
     d = sub.add_parser("divergence", help="single divergence report")
-    d.add_argument("--case", help="case name, e.g. 2[1,8]")
-    d.add_argument("--family", choices=["rect", "hex"])
-    d.add_argument("--k", type=int, required=True)
+    which = d.add_mutually_exclusive_group(required=True)
+    which.add_argument("--case", help="case name, e.g. 2[1,8]")
+    which.add_argument("--family", choices=["rect", "hex"])
+    d.add_argument("--k", type=_int_at_least(0), required=True)
     d.add_argument("--out")
 
     b = sub.add_parser("bound", help="mixing-bound constants")
     b.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
-    b.add_argument("--k", type=int, required=True)
+    b.add_argument("--k", type=_int_at_least(0), required=True)
     b.add_argument("--n", type=_int_at_least(1))
     b.add_argument("--eps", type=_eps)
     b.add_argument("--out")
@@ -426,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="run a chain, emit trajectory JSONL")
     r.add_argument("--chain", required=True, choices=["updown", "block"])
     r.add_argument("--graph", required=True)
-    r.add_argument("--k", type=int, required=True)
+    r.add_argument("--k", type=_int_at_least(0), required=True)
     r.add_argument("--steps", type=_int_at_least(0), required=True)
     r.add_argument("--seed", type=int, required=True)
     r.add_argument("--emit-every", type=_int_at_least(0), default=0)
@@ -434,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sample", help="exact uniform samples via CFTP")
     s.add_argument("--graph", required=True)
-    s.add_argument("--k", type=int, required=True)
+    s.add_argument("--k", type=_int_at_least(0), required=True)
     s.add_argument("--n", type=_int_at_least(0), required=True)
     s.add_argument("--seed", type=int, required=True)
     s.add_argument("--out")
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("couple-time", help="coalescence-time CSV")
     c.add_argument("--chain", default="updown", choices=["updown", "block"])
     c.add_argument("--graph", required=True)
-    c.add_argument("--k", type=int, required=True)
+    c.add_argument("--k", type=_int_at_least(0), required=True)
     c.add_argument("--trials", type=_int_at_least(1), default=100)
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--out")

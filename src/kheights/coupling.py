@@ -10,11 +10,11 @@ integer draws only, so trajectories are exactly reproducible.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
-from threading import Lock
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -24,6 +24,8 @@ from .chains import (
     UPDOWN_CHUNK,
     UPDOWN_MIN_CHUNK,
     BlockSampler,
+    decode_at_most_half,
+    decode_integers,
     make_rng,
     updown_apply,
     updown_moves,
@@ -192,25 +194,28 @@ def coupled_updown_step(coupled: CoupledState,
     (chains.updown_draws, a chunk at a time from chains.updown_moves);
     each side accepts by its own validity test.  Monotone in practice
     (verified by tests).  Stops right after a step at which low == high;
-    the generator is then left where the scalar draws of the steps made
-    leave it.  Chunks double from UPDOWN_MIN_CHUNK to UPDOWN_CHUNK steps,
-    so a pair that meets early decodes few draws past its meeting."""
+    the generator is then put back to its state before the chunk and
+    draws again the chunk's steps up to that one, so it is left where
+    the scalar draws of the steps made leave it.  Chunks double from
+    UPDOWN_MIN_CHUNK to UPDOWN_CHUNK steps, so a pair that meets early
+    decodes few draws past its meeting."""
     low, high, k = coupled.low, coupled.high, coupled.k
-    adj, n = coupled.graph.adjacency(), coupled.graph.n
+    adj, n, rng = coupled.graph.adjacency(), coupled.graph.n, coupled.rng
     differ = sum(a != b for a, b in zip(low, high))
     done, size = 0, UPDOWN_MIN_CHUNK
     while done < steps:
         m = min(size, steps - done) if differ else 1
         size = min(2 * size, UPDOWN_CHUNK)
-        moves, settle = updown_moves(coupled.rng, n, m)
-        for j, v, delta in moves:
+        entry = rng.bit_generator.state
+        for j, v, delta in zip(*updown_moves(rng, n, m)):
             was = low[v] != high[v]
             updown_result(low, adj, k, v, delta)
             updown_result(high, adj, k, v, delta)
             differ += (low[v] != high[v]) - was
             if not differ:
                 m = j + 1
-                settle(m)
+                rng.bit_generator.state = entry
+                updown_moves(rng, n, m)
                 break
         done += m
         if not differ:
@@ -309,12 +314,6 @@ CFTP_RAW_SLOTS = 1 << 16
 CFTP_MEMO_EPOCHS = 16
 CFTP_MEMO_KEYS = 64
 
-#: (graph.n, hash(graph.edges), k) -> the last CFTP_MEMO_EPOCHS
-#: coalescence epochs, least recently used key first; the lock keeps a
-#: key another thread evicts from being moved
-_cftp_epochs: OrderedDict = OrderedDict()
-_cftp_epochs_lock = Lock()
-
 #: coupled steps per coalescence trial before coupling_time_estimate
 #: gives up; a trial stores nothing per step, so this bounds time only
 COALESCENCE_MAX_STEPS = 10 ** 7
@@ -329,24 +328,19 @@ def cftp_epoch_draws(seed: int, e: int, n: int):
         rng.random(size) <= 0.5
 
     Up to CFTP_RAW_SLOTS slots and for 1 < n < 2^32 they are decoded from
-    2 * size raw words (see the chains module docstring): those calls
-    read the 2 * size 32-bit halves of the first size words, low half
-    first, for the vertices (Lemire's (u*n) >> 32) and then the signs
-    (the top bit), and the last size words for p ((w >> 11) <= 2^52).
-    When a vertex draw would be rejected ((u*n) mod 2^32 < 2^32 mod n),
-    which shifts every later draw, the calls are made instead."""
+    2 * size raw words with chains.decode_integers and
+    chains.decode_at_most_half: those calls read the 2 * size 32-bit
+    halves of the first size words, low half first, for the vertices and
+    then the signs (the top bit), and the last size words for p.  When a
+    vertex draw would be rejected the calls are made instead."""
     size = 1 if e == 0 else 1 << (e - 1)
     entropy = np.random.SeedSequence(entropy=(seed, e))
     if 1 < n < 1 << 32 and size <= CFTP_RAW_SLOTS:
         raw = np.random.Philox(entropy).random_raw(2 * size)
         halves = raw[:size].astype("<u8", copy=False).view("<u4")
-        prod = halves[:size] * np.uint64(n)
-        threshold = (1 << 32) % n
-        # astype(uint32) keeps (u*n) mod 2^32; (w >> 11) <= 2^52 holds
-        # exactly when w < 2^63 + 2^11
-        if not threshold or prod.astype(np.uint32).min() >= threshold:
-            return (prod >> 32, halves[size:] >> 31,
-                    raw[size:] < np.uint64((1 << 63) + (1 << 11)))
+        vs = decode_integers(halves[:size], n)
+        if vs is not None:
+            return vs, halves[size:] >> 31, decode_at_most_half(raw[size:])
     # narrowed as soon as drawn: ~14 bytes a slot at the peak
     rng = np.random.Generator(np.random.Philox(entropy))
     return (rng.integers(0, n, size=size, dtype=np.int64)
@@ -366,17 +360,11 @@ def cftp_first_epoch(epochs) -> int:
         (1 << g) if g > e else (2 << e) - (1 << g) for e in epochs))
 
 
-def _remembered_epochs(graph: Graph, k: int) -> deque:
-    key = (graph.n, hash(graph.edges), k)
-    with _cftp_epochs_lock:
-        epochs = _cftp_epochs.get(key)
-        if epochs is None:
-            epochs = _cftp_epochs[key] = deque(maxlen=CFTP_MEMO_EPOCHS)
-            if len(_cftp_epochs) > CFTP_MEMO_KEYS:
-                _cftp_epochs.popitem(last=False)
-        else:
-            _cftp_epochs.move_to_end(key)
-    return epochs
+@lru_cache(maxsize=CFTP_MEMO_KEYS)
+def _remembered_epochs(n: int, edges_hash: int, k: int) -> deque:
+    """The last CFTP_MEMO_EPOCHS coalescence epochs of cftp_sample on the
+    graphs of n vertices whose edge set hashes to edges_hash, at k."""
+    return deque(maxlen=CFTP_MEMO_EPOCHS)
 
 
 def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
@@ -404,20 +392,25 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
     CFTP_MEMO_KEYS keys (least recently used first out) of the last
     CFTP_MEMO_EPOCHS epochs each.  The key holds the hash of the edge
     set, not the set, so the memo holds no graph; two graphs that share
-    a key share a history, which again moves only the time.  A first
-    run that coalesces shows only e* <= g; it records g - 1, so that the
-    guess can come down again (recording g would ratchet it up for good:
-    every record would be >= g).  A later epoch that coalesces is e*.
+    a key share a history, which again moves only the time, as does
+    the record that one of two threads meeting a new key at once may
+    lose.  A first run that coalesces shows only e* <= g; it records
+    g - 1, so that the guess can come down again (recording g would
+    ratchet it up for good: every record would be >= g).  A later epoch
+    that coalesces is e*.
 
-    Raises EnumerationCapError before drawing an epoch that would cover
-    more than CFTP_MAX_SLOTS slots.  g is clamped to the last epoch the
-    cap allows, so it raises exactly where a start at 0 does.
+    Raises ValueError for k < 0, and EnumerationCapError before drawing
+    an epoch that would cover more than CFTP_MAX_SLOTS slots.  g is
+    clamped to the last epoch the cap allows, so it raises exactly where
+    a start at 0 does.
     """
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return KHeight.constant(graph, k, 0)
     n = graph.n
     adj = graph.adjacency()
-    epochs = _remembered_epochs(graph, k)
+    epochs = _remembered_epochs(n, hash(graph.edges), k)
     first = min(cftp_first_epoch(tuple(epochs)),  # another thread may append
                 CFTP_MAX_SLOTS.bit_length() - 1)
     segments = []

@@ -51,9 +51,17 @@ RECT_SLICE_CAP = 1 << 22
 #: anything).  The rate runs from ~1.5e9 a second (d=7 cycles, k=19) to
 #: ~2.2e10 (d=3, k=925) on a 2-core x86 box, so 2^42 = 4.4e12 is three
 #: minutes or more.  Every case within the entry cap and the 2^53 bound
-#: up to k=221 fits; hex k=19 spends 1.05e11.  The rect table
-#: is bounded per slice by RECT_SLICE_CAP.
+#: up to k=221 fits; hex k=13, the last k the entry cap accepts, spends
+#: 6.1e9.  The rect table is bounded per slice by RECT_SLICE_CAP.
 FRONTIER_WORK_CAP = 1 << 42
+
+#: tensors of the largest size that _frontier_cost reports which a
+#: _case_stats call holds at once, from its traced peak: 7.0 to 7.04
+#: for the type-1 cases whose tensors come near the cap (hex among
+#: them) and 2 to 3 for type-2 cases.  1_3[1,2] and 1_4[1,2,3] reach
+#: 12, but their largest tensor is only K x K, below 2^20 entries
+#: wherever FRONTIER_WORK_CAP accepts them.
+FRONTIER_LIVE_TENSORS = 8
 
 
 def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
@@ -76,20 +84,22 @@ def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
 
 
 def _check_frontier(S: int, layers: int, axes, calls: int = 1) -> None:
-    """Raise EnumerationCapError when a tensor of `calls` _frontier_dp
-    calls of this shape would exceed ENUMERATION_CAP entries, or the
-    calls together FRONTIER_WORK_CAP multiply-adds."""
+    """Raise EnumerationCapError when FRONTIER_LIVE_TENSORS tensors of
+    the largest size of a _frontier_dp call of this shape would exceed
+    ENUMERATION_CAP entries, or `calls` such calls together
+    FRONTIER_WORK_CAP multiply-adds."""
     largest, work = _frontier_cost(S, layers, axes)
-    if largest > ENUMERATION_CAP:
-        raise EnumerationCapError(f"frontier tensor of {largest} entries "
-                                  f"exceeds the cap {ENUMERATION_CAP}")
+    if FRONTIER_LIVE_TENSORS * largest > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{FRONTIER_LIVE_TENSORS} frontier tensors of {largest} entries "
+            f"exceed the cap {ENUMERATION_CAP}")
     if calls * work > FRONTIER_WORK_CAP:
         raise EnumerationCapError(
             f"{calls * work} multiply-adds exceed the cap "
             f"{FRONTIER_WORK_CAP}")
 
 
-def _frontier_dp(T, weight, layers: int, axes, checked: bool = False):
+def _frontier_dp(T, weight, layers: int, axes):
     """Exact (count, weight) float64 tensors of a layered filling DP over
     integer inputs, indexed by its boundary axes in list order.
 
@@ -98,15 +108,13 @@ def _frontier_dp(T, weight, layers: int, axes, checked: bool = False):
     {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
     joins the frontier at its first mask, or, if masked at the last layer
     only, is contracted with that layer by one matmul.  Raises
-    EnumerationCapError before allocating (_check_frontier, unless the
-    caller has `checked` this shape already) or when an entry could
-    reach 2^53.
+    EnumerationCapError before allocating (_check_frontier) or when an
+    entry could reach 2^53.
     """
     S, last = len(weight), layers - 1
     sizes = [size for size, _ in axes]
     closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
-    if not checked:
-        _check_frontier(S, layers, axes)
+    _check_frontier(S, layers, axes)
 
     def top(a):
         return int(np.abs(np.asarray(a)).max(initial=0))
@@ -172,7 +180,7 @@ def _case_stats(tag: CaseTag, k: int):
     P = step_matrix(np.arange(K), dtype=np.int64)
     axes = [(K, dict.fromkeys(m, P)) for m in at]
     if tag.kind == "type2":
-        return _frontier_dp(P, np.arange(K), d, axes, checked=True)
+        return _frontier_dp(P, np.arange(K), d, axes)
     # a cycle is summed over the value f of its first vertex, one pass
     # each: a size-1 axis pins vertex 0 to f and vertex d-1 within 1 of
     # it.  The passes count each filling once, so their sum stays below
@@ -180,8 +188,7 @@ def _case_stats(tag: CaseTag, k: int):
     I, cnt, wgt = np.eye(K, dtype=np.int64), 0, 0
     for f in range(K):
         first = (1, {0: I[f:f + 1], d - 1: P[f:f + 1]})
-        c, w = _frontier_dp(P, np.arange(K), d, axes + [first],
-                            checked=True)
+        c, w = _frontier_dp(P, np.arange(K), d, axes + [first])
         cnt, wgt = cnt + c[..., 0], wgt + w[..., 0]
     return cnt, wgt
 

@@ -1,6 +1,7 @@
 import gc
 import weakref
 from array import array
+from contextlib import nullcontext
 from fractions import Fraction
 from itertools import permutations
 from unittest import mock
@@ -19,7 +20,6 @@ from kheights.chains import (
     step_updown,
     transition_matrix_block,
     transition_matrix_updown,
-    updown_chunk,
     updown_draws,
     updown_apply,
     updown_moves,
@@ -161,18 +161,10 @@ def _entry_rng(seed, skip, kept):
     return rng
 
 
-def _moves_until(rng, n, m, stop):
-    """The moves of updown_moves(rng, n, m) up to the first one at step
-    stop - 1 or later, where it settles as a caller that stops there
-    does, and the number of steps drawn."""
-    moves, settle = updown_moves(rng, n, m)
-    taken = []
-    for move in moves:
-        taken.append(move)
-        if move[0] + 1 >= stop:
-            settle(move[0] + 1)
-            return taken, move[0] + 1
-    return taken, m
+def _accepted(draws):
+    """(steps, vertices, offsets) of the accepted updown_draws results."""
+    at = [j for j, (_, _, move) in enumerate(draws) if move]
+    return at, [draws[j][0] for j in at], [draws[j][1] for j in at]
 
 
 @settings(max_examples=150, deadline=None)
@@ -180,65 +172,57 @@ def _moves_until(rng, n, m, stop):
        seed=strategies.integers(0, 2 ** 32 - 1),
        skip=strategies.integers(0, 5), kept=strategies.booleans(),
        m=strategies.integers(0, 300), data=strategies.data())
-def test_updown_chunk_matches_scalar_draws(n, seed, skip, kept, m, data):
-    """m decoded draws equal m updown_draws calls, and settle(j) leaves
-    the generator, field by field, where j calls do.  A chunk that cannot
-    be decoded is None and leaves the generator untouched.  updown_moves,
-    stopped after any move, follows the scalar draws either way."""
+def test_updown_moves_match_scalar_draws(n, seed, skip, kept, m, data):
+    """updown_moves(rng, n, m) gives the accepted moves of m updown_draws
+    calls and leaves the generator, field by field, where they do; put
+    back to its entry state and called for j <= m steps, it gives and
+    leaves what the first j calls do.  With no high half kept at entry,
+    1 < n < 2^32 and no rejection possible (2^32 % n == 0) it decodes,
+    without a scalar call."""
     a, b = _entry_rng(seed, skip, kept), _entry_rng(seed, skip, kept)
-    entry = rng_fields(a)
     want = [updown_draws(a, n) for _ in range(m)]
-    chunk = updown_chunk(b, n, m)
-    if kept or not 1 < n < 2 ** 32:
-        assert chunk is None
-    if chunk is None:
-        # otherwise a vertex draw was rejected, which needs 2^32 % n != 0
-        assert kept or not 1 < n < 2 ** 32 or 2 ** 32 % n
-        assert rng_fields(b) == entry
-    else:
-        vs, ds, moves, settle = chunk
-        assert list(zip(vs.tolist(), ds.tolist(), moves.tolist())) == want
-        assert rng_fields(b) == rng_fields(a)
-        j = data.draw(strategies.integers(0, m))
-        settle(j)
-        c = _entry_rng(seed, skip, kept)
-        for _ in range(j):
-            updown_draws(c, n)
-        assert rng_fields(b) == rng_fields(c)
-    d = _entry_rng(seed, skip, kept)
-    taken, drawn = _moves_until(d, n, m, data.draw(strategies.integers(0, m)))
-    assert taken == [(j, v, delta) for j, (v, delta, move)
-                     in enumerate(want[:drawn]) if move]
+    entry = b.bit_generator.state
+    decodes = (m >= chains.UPDOWN_MIN_CHUNK and not kept
+               and 1 < n < 2 ** 32 and not 2 ** 32 % n)
+    no_calls = mock.patch.object(chains, "updown_draws",
+                                 side_effect=AssertionError("scalar call"))
+    with no_calls if decodes else nullcontext():
+        assert updown_moves(b, n, m) == _accepted(want)
+    assert rng_fields(b) == rng_fields(a)
+    j = data.draw(strategies.integers(0, m))
+    b.bit_generator.state = entry
+    assert updown_moves(b, n, j) == _accepted(want[:j])
     c = _entry_rng(seed, skip, kept)
-    for _ in range(drawn):
+    for _ in range(j):
         updown_draws(c, n)
-    assert rng_fields(d) == rng_fields(c)
+    assert rng_fields(b) == rng_fields(c)
 
 
-def test_updown_chunk_decodes_rejections_in_order():
+def test_updown_moves_follow_rejections_in_order():
     # at n = 3 * 2^30 a quarter of the vertex draws are rejected: the
-    # chunk is None with the generator untouched, and updown_moves
-    # follows the scalar calls draw for draw
+    # decode gives up, and updown_moves follows the scalar calls draw
+    # for draw
     a, b = make_rng(3), make_rng(3)
     n = 3 * 2 ** 30
+    words = make_rng(3).bit_generator.random_raw(4000)
+    assert chains.decode_integers(words[0::2] & 0xFFFFFFFF, n) is None
     want = [updown_draws(a, n) for _ in range(2000)]
-    assert updown_chunk(b, n, 2000) is None
-    assert rng_fields(b) == rng_fields(make_rng(3))
-    taken, _ = _moves_until(b, n, 2000, 2000)
-    assert taken == [(j, v, delta) for j, (v, delta, move)
-                     in enumerate(want) if move]
+    assert updown_moves(b, n, 2000) == _accepted(want)
     assert rng_fields(a) == rng_fields(b)
 
 
 @pytest.mark.parametrize("n", [36, 256])
-def test_updown_chunk_decodes_benchmark_grids_without_scalar_calls(n):
+def test_updown_moves_decode_benchmark_grids_without_scalar_calls(n):
     # the grids the benchmark runs take the vector decode, not the
-    # scalar fallback
+    # scalar fallback, and so does a rewind to step 100
+    rng = make_rng(1)
+    entry = rng.bit_generator.state
     with mock.patch.object(chains, "updown_draws",
                            side_effect=AssertionError("scalar call")):
-        vs, _, _, settle = updown_chunk(make_rng(1), n, 4096)
-        settle(100)
-    assert len(vs) == 4096
+        steps, vs, ds = updown_moves(rng, n, 4096)
+        rng.bit_generator.state = entry
+        assert updown_moves(rng, n, 100)[0] == [j for j in steps if j < 100]
+    assert len(steps) == len(vs) == len(ds) > 1500
 
 
 def _scalar_updown(state, steps):

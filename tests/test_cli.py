@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from kheights import __version__, chains, cli, coupling, graphs
+from kheights import __version__, chains, cli, coupling, graphs, tables
 from kheights.cli import _ramp, main, parse_case, parse_graph
+from kheights.enumeration import ENUMERATION_CAP
 from kheights.graphs import make_toroidal_rect
 
 
@@ -55,8 +56,8 @@ def test_tables_case_table_mismatch():
 
 def test_tables_cap_exit():
     assert main(["tables", "--id", "hex", "--k", "99"]) == 4
-    # hex k=20 carries a 21^6-entry frontier per first value, just past
-    # ENUMERATION_CAP
+    # hex k=20 carries a 21^6-entry frontier per first value, past
+    # ENUMERATION_CAP even as one tensor
     assert main(["tables", "--id", "hex", "--k", "20"]) == 4
     # one rect slice at k=7 has 176^3 entries, past RECT_SLICE_CAP:
     # refused before any slice is computed
@@ -64,18 +65,34 @@ def test_tables_cap_exit():
 
 
 def test_tables_work_cap_exit_before_allocating():
-    # 1_3[1,2] at k=7401 passes the entry cap and the 2^53 bound, but its
-    # 7402 passes would take ~1.8e16 multiply-adds; it is refused before
-    # the 7402 x 7402 step matrix (~440 MB a temporary) is built
+    # 1_3[1,2] at k=2000 passes the entry cap and the 2^53 bound, but its
+    # 2001 passes would take ~9.6e13 multiply-adds; it is refused before
+    # the 2001 x 2001 step matrix (32 MB) is built
     tracemalloc.start()
     try:
-        code = main(["tables", "--id", "type1", "--k", "7401",
+        code = main(["tables", "--id", "type1", "--k", "2000",
                      "--case", "1_3[1,2]"])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert code == 4
     assert peak < 16 * 2 ** 20
+
+
+def test_tables_live_tensor_cap_exit_before_allocating():
+    # hex k=14 is the first k whose 15^6-entry frontier, charged
+    # FRONTIER_LIVE_TENSORS times (its traced peak is ~7 such tensors),
+    # passes ENUMERATION_CAP; it is refused before anything is built
+    live = tables.FRONTIER_LIVE_TENSORS
+    assert live * 14 ** 6 <= ENUMERATION_CAP < live * 15 ** 6
+    tracemalloc.start()
+    try:
+        code = main(["tables", "--id", "hex", "--k", "14"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("spec", ["complete:724", "rect:296x296",
@@ -173,6 +190,49 @@ def test_out_of_range_count_flag_exits_3(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["tables", "--id", "hex", "--k", "-1"],
+    ["divergence", "--case", "1_6[1]", "--k", "-1"],
+    ["divergence", "--family", "rect", "--k", "-1"],
+    ["bound", "--family", "hex", "--k", "-1"],
+    ["run", "--chain", "updown", "--graph", "path:3", "--k", "-1",
+     "--steps", "1", "--seed", "0"],
+    ["couple-time", "--graph", "path:3", "--k", "-1", "--trials", "1"],
+])
+def test_negative_k_exits_3(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+
+
+def test_sample_negative_k_exits_3_before_drawing():
+    # CFTP at k = -1 never coalesces: it drew epochs up to CFTP_MAX_SLOTS
+    # and then exited 4
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--graph", "rect:4x4", "--k", "-1", "--n", "1",
+                  "--seed", "0"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 3
+    assert peak < 2 ** 20
+    assert main(["sample", "--graph", "rect:4x4", "--k", "0", "--n", "1",
+                 "--seed", "0"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["divergence", "--k", "2"],
+    ["divergence", "--case", "1_6[1]", "--family", "hex", "--k", "2"],
+])
+def test_divergence_needs_exactly_one_of_case_and_family(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "--case" in capsys.readouterr().err
 
 
 def test_divergence_json_round_trip(capsys):

@@ -257,6 +257,13 @@ def test_cftp_deterministic_and_valid(cycle4):
     assert cftp_sample(cycle4, 0, seed=1).values == (0, 0, 0, 0)
 
 
+def test_cftp_refuses_negative_k_before_drawing(cycle4):
+    with mock.patch.object(coupling, "cftp_epoch_draws",
+                           side_effect=AssertionError("drew an epoch")):
+        with pytest.raises(ValueError):
+            cftp_sample(cycle4, -1, seed=0)
+
+
 def test_cftp_uniform_small(path3):
     states = list(enumerate_heights(path3, 2))
     n = 1700
@@ -297,16 +304,18 @@ def _cftp_doubling(graph, k, seed):
 
 @pytest.fixture
 def cold_cftp_memo():
-    saved = dict(coupling._cftp_epochs)
-    coupling._cftp_epochs.clear()
-    yield coupling._cftp_epochs
-    coupling._cftp_epochs.clear()
-    coupling._cftp_epochs.update(saved)
+    coupling._remembered_epochs.cache_clear()
+    yield coupling._remembered_epochs
+    coupling._remembered_epochs.cache_clear()
+
+
+def _epochs_of(graph, k):
+    return coupling._remembered_epochs(graph.n, hash(graph.edges), k)
 
 
 def _remember(graph, k, epochs):
-    coupling._cftp_epochs.clear()
-    coupling._remembered_epochs(graph, k).extend(epochs)
+    coupling._remembered_epochs.cache_clear()
+    _epochs_of(graph, k).extend(epochs)
 
 
 @settings(max_examples=120, deadline=None)
@@ -321,16 +330,14 @@ def test_cftp_matches_the_doubling_loop(g, k, seed, start):
     want, estar = _cftp_doubling(g, k, seed)
     g0 = {"cold": None, "below": max(estar - 2, 0), "at": estar,
           "above": estar + 1, "far above": estar + 4}[start]
-    saved = dict(coupling._cftp_epochs)
     try:
         _remember(g, k, [] if g0 is None else [g0])
         assert cftp_sample(g, k, seed).values == want
         first = g0 or 0
         recorded = estar if estar > first else max(first - 1, 0)
-        assert list(coupling._remembered_epochs(g, k))[-1] == recorded
+        assert _epochs_of(g, k)[-1] == recorded
     finally:
-        coupling._cftp_epochs.clear()
-        coupling._cftp_epochs.update(saved)
+        coupling._remembered_epochs.cache_clear()
 
 
 def test_cftp_first_epoch_minimises_the_slot_cost():
@@ -410,15 +417,22 @@ def test_cftp_cap_raises_where_a_cold_start_does(monkeypatch,
 
 
 def test_cftp_memo_is_bounded(cold_cftp_memo):
-    for n in range(2, 2 + coupling.CFTP_MEMO_KEYS + 6):
-        g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-        for seed in range(coupling.CFTP_MEMO_EPOCHS + 2 if n > 66 else 1):
+    graphs = [Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+              for n in range(2, 2 + coupling.CFTP_MEMO_KEYS + 6)]
+    for g in graphs:
+        for seed in range(coupling.CFTP_MEMO_EPOCHS + 2 if g.n > 66 else 1):
             cftp_sample(g, 1, seed)
-    assert len(cold_cftp_memo) == coupling.CFTP_MEMO_KEYS
-    assert max(map(len, cold_cftp_memo.values())) == \
-        coupling.CFTP_MEMO_EPOCHS
-    # the least recently used keys went first
-    assert min(n for n, _, _ in cold_cftp_memo) == 8
+    info = cold_cftp_memo.cache_info()
+    assert info.currsize == info.maxsize == coupling.CFTP_MEMO_KEYS
+    assert [len(_epochs_of(g, 1)) for g in graphs[-5:]] == \
+        [coupling.CFTP_MEMO_EPOCHS] * 5
+    # the least recently used keys went first: n = 8 is still held, and
+    # n = 7 comes back empty
+    hits, misses = info.hits + 5, info.misses
+    assert list(_epochs_of(graphs[6], 1)) and graphs[6].n == 8
+    assert cold_cftp_memo.cache_info()[:2] == (hits + 1, misses)
+    assert not _epochs_of(graphs[5], 1)
+    assert cold_cftp_memo.cache_info()[:2] == (hits + 1, misses + 1)
 
 
 def test_noncontraction_witness_13_6(path3):
