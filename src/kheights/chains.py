@@ -34,6 +34,7 @@ its epoch draws with the same two functions.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -203,6 +204,12 @@ def step_updown(state: ChainState, steps: int = 1) -> ChainState:
 #: entries of a BlockSampler's filling-list cache
 FILLINGS_CACHE_SIZE = 4096
 
+#: support entries (filling pairs of positive mass) that a BlockSampler's
+#: joint memo holds in all.  An entry costs 12 bytes of integer rows; a
+#: joint also keeps its two filling lists, which have at most as many
+#: fillings as it has entries each.
+JOINT_MEMO_ENTRIES = 1 << 20
+
 
 class BlockSampler:
     """Uniform sampling from the admissible fillings of a block.
@@ -219,7 +226,7 @@ class BlockSampler:
     the coupled step and the exact transition matrix read that list for
     every block.  The cache wraps a closure that does not hold the
     sampler, so a dropped sampler is freed at once, not at the next full
-    collection.
+    collection.  joint memoises the coupled step's joints.
     """
 
     def __init__(self, graph: Graph, family: BlockFamily, k: int):
@@ -243,6 +250,8 @@ class BlockSampler:
             return enumerate_fillings(graph, blocks[block_idx], constraint, k)
 
         self._fillings = lru_cache(maxsize=FILLINGS_CACHE_SIZE)(fillings)
+        self._joints = OrderedDict()
+        self._joint_entries = 0
 
     def pick_block(self, r: int) -> int:
         """Block index for a draw r uniform in [0, total multiplicity)."""
@@ -264,6 +273,23 @@ class BlockSampler:
         ranker = filling_ranker(shape, tuple(
             value_ranges(values, self._outside[block_idx], self.k)))
         return ranker.count, ranker.unrank
+
+    def joint(self, low, high, build):
+        """build(low, high) on the two filling lists as tuples, memoised
+        by their content: the blocks of a vertex-transitive graph give
+        equal lists.  The memo holds at most JOINT_MEMO_ENTRIES support
+        entries (len of a joint) in all, least recently used out first.
+        It keeps no builder, so the one passed is called on every miss."""
+        key = (tuple(low), tuple(high))
+        joint = self._joints.get(key)
+        if joint is not None:
+            self._joints.move_to_end(key)
+            return joint
+        joint = self._joints[key] = build(*key)
+        self._joint_entries += len(joint)
+        while self._joint_entries > JOINT_MEMO_ENTRIES:
+            self._joint_entries -= len(self._joints.popitem(last=False)[1])
+        return joint
 
     def apply(self, values: list[int], block_idx: int, filling) -> None:
         """Write the filling into the block's vertices of values."""

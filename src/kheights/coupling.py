@@ -10,8 +10,8 @@ integer draws only, so trajectories are exactly reproducible.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -40,24 +40,61 @@ class DominanceError(ValueError):
     """The low filling set is not stochastically dominated by the high one."""
 
 
-@dataclass(frozen=True)
 class JointCoupling:
-    """Exact joint distribution on comparable filling pairs.
+    """Exact joint distribution of the uniform laws on two filling lists,
+    supported on pointwise-comparable pairs.
 
-    support holds (low filling, high filling, probability); the
-    probabilities have common denominator |low_set| * |high_set|.
+    It is kept as integer rows, one per low filling in list order: row a
+    is entries offsets[a]:offsets[a + 1] of `high`, the indices into
+    high_set of the fillings paired with low_set[a], and of `cum`, the
+    cumulative integer flow of the row, in the lexicographic order of
+    the high fillings.  A pair's probability is its flow over
+    low_size * high_size, and each row's flows sum to high_size.
+    support and expected_delta are built from the rows when asked for;
+    len() is the number of support entries.
     """
 
-    support: tuple[tuple[tuple[int, ...], tuple[int, ...], Fraction], ...]
-    low_size: int
-    high_size: int
+    def __init__(self, low_set: tuple, high_set: tuple, offsets: array,
+                 high: array, cum: array):
+        self.low_set, self.high_set = low_set, high_set
+        self.offsets, self.high, self.cum = offsets, high, cum
+
+    @property
+    def low_size(self) -> int:
+        return len(self.low_set)
+
+    @property
+    def high_size(self) -> int:
+        return len(self.high_set)
+
+    def __len__(self) -> int:
+        return len(self.high)
+
+    @property
+    def support(self) -> tuple:
+        """(low filling, high filling, probability) sorted by the pair;
+        the probabilities have denominator low_size * high_size."""
+        denom = self.low_size * self.high_size
+        offsets, high, cum = self.offsets, self.high, self.cum
+        out = []
+        for a in sorted(range(self.low_size), key=self.low_set.__getitem__):
+            prev = 0
+            for t in range(offsets[a], offsets[a + 1]):
+                out.append((self.low_set[a], self.high_set[high[t]],
+                            Fraction(cum[t] - prev, denom)))
+                prev = cum[t]
+        return tuple(out)
 
     def expected_delta(self) -> Fraction:
-        return sum(
-            (p * sum(abs(a - b) for a, b in zip(lo, hi))
-             for lo, hi, p in self.support),
-            Fraction(0),
-        )
+        lo, hi = np.array(self.low_set), np.array(self.high_set)
+        offsets = np.frombuffer(self.offsets, np.int64)
+        cum = np.frombuffer(self.cum, np.int64)
+        flow = np.diff(cum, prepend=0)
+        flow[offsets[1:-1]] = cum[offsets[1:-1]]
+        rows = np.repeat(np.arange(self.low_size), np.diff(offsets))
+        dist = np.abs(lo[rows] - hi[np.frombuffer(self.high, np.int32)])
+        return Fraction(int(flow @ dist.sum(axis=1)),
+                        self.low_size * self.high_size)
 
     def marginal_low(self) -> dict:
         out = {}
@@ -78,58 +115,93 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
 
     Built as an integer max-flow in the bipartite comparability network
     with denominators cleared: source -> each low filling at capacity
-    |high_set|, each high filling -> sink at capacity |low_set|.  Any
-    maximum flow of full value is accepted.  Raises EnumerationCapError,
-    before the comparison array is built, when its L * H * m entries (m
-    vertices a filling) pass ENUMERATION_CAP; the cap also keeps the
-    flow value L * H inside the int32 capacities.
+    |high_set|, each low filling -> each comparable high filling at
+    capacity |high_set|, each high filling -> sink at capacity
+    |low_set|.  The network is one CSR matrix, with nodes 0 = source,
+    1..L = low fillings, L+1..L+H = high fillings and L+H+1 = sink in
+    list order and each row's edges in column order, solved by scipy's
+    Dinic (named, so that a change of scipy's default method cannot
+    change the flow).  Any maximum flow of full value is a valid joint;
+    which one this returns, and so every block-coupling trajectory,
+    depends on that node and edge order and on the scipy version (the
+    benchmark records it in its provenance).
+
+    Raises ValueError for an empty set or a repeated filling,
+    DominanceError when no comparable joint exists, and
+    EnumerationCapError, before the comparison array is built, when its
+    L * H * m entries (m vertices a filling) pass ENUMERATION_CAP; the
+    cap also keeps the flow value L * H inside the int32 capacities.
     """
-    low_set = list(low_set)
-    high_set = list(high_set)
+    low_set, high_set = tuple(low_set), tuple(high_set)
     L, H = len(low_set), len(high_set)
     if L == 0 or H == 0:
         raise ValueError("empty filling set")
-    denom = L * H
     if L == 1 and H == 1:
-        lo, hi = low_set[0], high_set[0]
-        if any(a > b for a, b in zip(lo, hi)):
+        if any(a > b for a, b in zip(low_set[0], high_set[0])):
             raise DominanceError("singleton pair not comparable")
-        return JointCoupling(((lo, hi, Fraction(1)),), 1, 1)
-    if L * H * len(low_set[0]) > ENUMERATION_CAP:
+        return JointCoupling(low_set, high_set, array("q", (0, 1)),
+                             array("i", (0,)), array("q", (1,)))
+    m = len(low_set[0])
+    if L * H * m > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{L} x {H} filling pairs of {len(low_set[0])} vertices exceed "
+            f"{L} x {H} filling pairs of {m} vertices exceed "
             f"cap {ENUMERATION_CAP}")
-    # nodes: 0 = source, 1..L = low, L+1..L+H = high, L+H+1 = sink;
-    # comparability edges come in (i, j) order
-    n = L + H + 2
+    if len(set(low_set)) < L or len(set(high_set)) < H:
+        raise ValueError("repeated filling in a filling set")
     lo, hi = np.array(low_set), np.array(high_set)
-    i, j = np.nonzero(np.all(lo[:, None, :] <= hi[None, :, :], axis=2))
-    rows = np.concatenate([np.zeros(L, int), 1 + L + np.arange(H), 1 + i])
-    cols = np.concatenate([1 + np.arange(L), np.full(H, n - 1), 1 + L + j])
-    caps = np.concatenate([np.full(L, H), np.full(H, L), np.full(len(i), H)])
-    graph = csr_matrix((caps, (rows, cols)), shape=(n, n), dtype=np.int32)
-    result = maximum_flow(graph, 0, n - 1)
-    if result.flow_value != denom:
+    ok = np.ones((L, H), bool)
+    for c in range(m):
+        ok &= lo[:, None, c] <= hi[None, :, c]
+    # rows: source, low fillings (their comparable high fillings in
+    # order), high fillings, sink
+    n = L + H + 2
+    j = np.nonzero(ok)[1]
+    per_row = np.concatenate(([L], ok.sum(axis=1), np.ones(H, int), [0]))
+    graph = csr_matrix((
+        np.concatenate((np.full(L, H), np.full(len(j), H), np.full(H, L)))
+        .astype(np.int32),
+        np.concatenate((1 + np.arange(L), 1 + L + j, np.full(H, n - 1)))
+        .astype(np.int32),
+        np.concatenate(([0], np.cumsum(per_row))).astype(np.int32),
+    ), shape=(n, n))
+    result = maximum_flow(graph, 0, n - 1, method="dinic")
+    if result.flow_value != L * H:
         raise DominanceError(
-            f"max flow {result.flow_value} < {denom}: dominance fails")
-    flow = np.asarray(result.flow[1 + i, 1 + L + j]).ravel()
-    support = sorted((low_set[a], high_set[b], Fraction(int(f), denom))
-                     for a, b, f in zip(i, j, flow) if f > 0)
-    return JointCoupling(tuple(support), L, H)
+            f"max flow {result.flow_value} < {L * H}: dominance fails")
+    # the flow matrix adds the reverse edges, with negative flows; a low
+    # row's positive entries past column L are its flows to the high
+    # fillings
+    flow = result.flow
+    first, last = flow.indptr[1], flow.indptr[L + 1]
+    cols, f = flow.indices[first:last], flow.data[first:last]
+    rows = np.repeat(np.arange(L), np.diff(flow.indptr[1:L + 2]))
+    keep = (cols > L) & (f > 0)
+    cols, f, rows = cols[keep] - (L + 1), f[keep], rows[keep]
+    rank = np.empty(H, np.int64)
+    rank[np.lexsort(hi.T[::-1])] = np.arange(H)
+    order = np.lexsort((rank[cols], rows))
+    cols, f, rows = cols[order], f[order], rows[order]
+    offsets = np.searchsorted(rows, np.arange(L + 1))
+    # every row's flows sum to H
+    cum = np.cumsum(f, dtype=np.int64) - H * rows
+    return JointCoupling(low_set, high_set,
+                         array("q", offsets.astype(np.int64).tobytes()),
+                         array("i", cols.astype(np.int32).tobytes()),
+                         array("q", cum.tobytes()))
 
 
 def conditional_high_draw(joint: JointCoupling, low, r: int):
     """High-side filling given the low side, using an integer draw
-    r uniform in [0, high_size): walks the scaled conditional weights
-    flow(low, .) which sum to high_size."""
-    acc = 0
-    for lo, hi, p in joint.support:
-        if lo == low:
-            acc += p.numerator * (joint.low_size * joint.high_size
-                                  // p.denominator)
-            if r < acc:
-                return hi
-    raise AssertionError("conditional draw ran past the support")
+    r uniform in [0, high_size): the first high filling, in
+    lexicographic order, of the low filling's row whose cumulative flow
+    passes r (the row's flows sum to high_size).  Raises ValueError
+    when low is not a low filling of the joint."""
+    a = joint.low_set.index(low)
+    end = joint.offsets[a + 1]
+    t = bisect_right(joint.cum, r, joint.offsets[a], end)
+    if t == end:
+        raise AssertionError("conditional draw ran past the support")
+    return joint.high_set[joint.high[t]]
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +312,8 @@ def coupled_block_step(coupled: CoupledState,
     raised first from the BlockSampler.ranked counts, which list nothing
     for a ranker-shaped block (enumeration.dp_shape).  Links with L == H
     may have equal lists, which need no joint, and are left to
-    strassen_joint.
+    strassen_joint.  The joints come from the sampler's memo
+    (BlockSampler.joint), which calls strassen_joint on each miss.
     """
     rng = coupled.rng
     p = float(rng.random())
@@ -265,7 +338,8 @@ def coupled_block_step(coupled: CoupledState,
         if fillings[i] == fillings[i - 1]:
             pass  # identical boundary constraints: reuse the filling
         else:
-            joint = strassen_joint(fillings[i - 1], fillings[i])
+            joint = sampler.joint(fillings[i - 1], fillings[i],
+                                  strassen_joint)
             f = conditional_high_draw(
                 joint, f, int(rng.integers(len(fillings[i]))))
     sampler.apply(coupled.low, b, f_low)

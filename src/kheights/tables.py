@@ -56,12 +56,16 @@ RECT_SLICE_CAP = 1 << 22
 FRONTIER_WORK_CAP = 1 << 42
 
 #: tensors of the largest size that _frontier_cost reports which a
-#: _case_stats call holds at once, from its traced peak: 7.0 to 7.04
-#: for the type-1 cases whose tensors come near the cap (hex among
-#: them) and 2 to 3 for type-2 cases.  1_3[1,2] and 1_4[1,2,3] reach
-#: 12, but their largest tensor is only K x K, below 2^20 entries
-#: wherever FRONTIER_WORK_CAP accepts them.
-FRONTIER_LIVE_TENSORS = 8
+#: _case_stats call holds at once, per case kind, from its traced peak
+#: (tracemalloc): 7.0 to 7.04 for the type-1 cases whose tensors come
+#: near the cap (hex among them); 1_3[1,2] and 1_4[1,2,3] reach 12, but
+#: their largest tensor is only K x K, below 2^20 entries wherever
+#: FRONTIER_WORK_CAP accepts them.  Type-2 cases, every one of at least
+#: 1 MiB a tensor at k=3..6, peak at 2.14 to 2.25 without label 8 and
+#: at 3.00 to 3.04 with it (2[1,8] 3.035 at k=3 and 3.001 at k=5,
+#: 2[1,2,8] 3.024 at k=4 and 3.002 at k=6).  The rect slices are
+#: checked at the type-1 count; RECT_SLICE_CAP keeps them far below it.
+FRONTIER_LIVE_TENSORS = {"type1": 8, "type2": 4}
 
 
 def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
@@ -83,15 +87,17 @@ def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
     return max(joined * S, joined * closed, closed * S), work
 
 
-def _check_frontier(S: int, layers: int, axes, calls: int = 1) -> None:
-    """Raise EnumerationCapError when FRONTIER_LIVE_TENSORS tensors of
-    the largest size of a _frontier_dp call of this shape would exceed
-    ENUMERATION_CAP entries, or `calls` such calls together
+def _check_frontier(S: int, layers: int, axes, calls: int = 1,
+                    kind: str = "type1") -> None:
+    """Raise EnumerationCapError when FRONTIER_LIVE_TENSORS[kind]
+    tensors of the largest size of a _frontier_dp call of this shape
+    would exceed ENUMERATION_CAP entries, or `calls` such calls together
     FRONTIER_WORK_CAP multiply-adds."""
     largest, work = _frontier_cost(S, layers, axes)
-    if FRONTIER_LIVE_TENSORS * largest > ENUMERATION_CAP:
+    live = FRONTIER_LIVE_TENSORS[kind]
+    if live * largest > ENUMERATION_CAP:
         raise EnumerationCapError(
-            f"{FRONTIER_LIVE_TENSORS} frontier tensors of {largest} entries "
+            f"{live} frontier tensors of {largest} entries "
             f"exceed the cap {ENUMERATION_CAP}")
     if calls * work > FRONTIER_WORK_CAP:
         raise EnumerationCapError(
@@ -99,7 +105,7 @@ def _check_frontier(S: int, layers: int, axes, calls: int = 1) -> None:
             f"{FRONTIER_WORK_CAP}")
 
 
-def _frontier_dp(T, weight, layers: int, axes):
+def _frontier_dp(T, weight, layers: int, axes, kind: str = "type1"):
     """Exact (count, weight) float64 tensors of a layered filling DP over
     integer inputs, indexed by its boundary axes in list order.
 
@@ -108,13 +114,13 @@ def _frontier_dp(T, weight, layers: int, axes):
     {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
     joins the frontier at its first mask, or, if masked at the last layer
     only, is contracted with that layer by one matmul.  Raises
-    EnumerationCapError before allocating (_check_frontier) or when an
-    entry could reach 2^53.
+    EnumerationCapError before allocating (_check_frontier, charged as
+    a case of this kind) or when an entry could reach 2^53.
     """
     S, last = len(weight), layers - 1
     sizes = [size for size, _ in axes]
     closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
-    _check_frontier(S, layers, axes)
+    _check_frontier(S, layers, axes, kind=kind)
 
     def top(a):
         return int(np.abs(np.asarray(a)).max(initial=0))
@@ -173,14 +179,14 @@ def _case_stats(tag: CaseTag, k: int):
     at = [[i - 1 for i in tag.neighbor_labels]]
     at += [[bv] for bv in case_slots(tag)]
     if tag.kind == "type2":
-        _check_frontier(K, d, [(K, m) for m in at])
+        _check_frontier(K, d, [(K, m) for m in at], kind="type2")
     else:
         _check_frontier(K, d, [(K, m) for m in at] + [(1, [0, d - 1])],
                         calls=K)
     P = step_matrix(np.arange(K), dtype=np.int64)
     axes = [(K, dict.fromkeys(m, P)) for m in at]
     if tag.kind == "type2":
-        return _frontier_dp(P, np.arange(K), d, axes)
+        return _frontier_dp(P, np.arange(K), d, axes, kind="type2")
     # a cycle is summed over the value f of its first vertex, one pass
     # each: a size-1 axis pins vertex 0 to f and vertex d-1 within 1 of
     # it.  The passes count each filling once, so their sum stays below

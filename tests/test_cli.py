@@ -83,7 +83,7 @@ def test_tables_live_tensor_cap_exit_before_allocating():
     # hex k=14 is the first k whose 15^6-entry frontier, charged
     # FRONTIER_LIVE_TENSORS times (its traced peak is ~7 such tensors),
     # passes ENUMERATION_CAP; it is refused before anything is built
-    live = tables.FRONTIER_LIVE_TENSORS
+    live = tables.FRONTIER_LIVE_TENSORS["type1"]
     assert live * 14 ** 6 <= ENUMERATION_CAP < live * 15 ** 6
     tracemalloc.start()
     try:
@@ -93,6 +93,25 @@ def test_tables_live_tensor_cap_exit_before_allocating():
         tracemalloc.stop()
     assert code == 4
     assert peak < 2 ** 20
+
+
+def test_tables_type2_live_tensor_cap_exit_before_allocating(capsys):
+    # type-2 cases peak at ~3 tensors of their largest size and are
+    # charged 4: the table's largest, 2[1], has 5^10 entries at k=4 (it
+    # runs, ~270 MB) and 6^10 at k=5, the first refused k; it is refused
+    # before anything is built
+    live = tables.FRONTIER_LIVE_TENSORS["type2"]
+    assert live * 5 ** 10 <= ENUMERATION_CAP < live * 6 ** 10
+    tracemalloc.start()
+    try:
+        code = main(["tables", "--id", "type2", "--k", "5"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2 ** 20
+    assert f"{live} frontier tensors of {6 ** 10} entries" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("spec", ["complete:724", "rect:296x296",

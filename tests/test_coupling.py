@@ -1,16 +1,29 @@
+import gc
 import random
 import tracemalloc
+import weakref
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_flow
 from hypothesis import given, settings, strategies
 
 from conftest import rng_fields, small_graphs
 from kheights import chains, coupling
-from kheights.chains import BlockSampler, make_rng, updown_draws, updown_result
+from kheights.chains import (
+    BlockSampler,
+    make_chain,
+    make_rng,
+    step_updown,
+    updown_draws,
+    updown_result,
+)
 from kheights.coupling import (
     CoupledState,
     DominanceError,
@@ -23,14 +36,19 @@ from kheights.coupling import (
     path_decompose,
     strassen_joint,
 )
+from kheights.cli import main
 from kheights.divergence import expected_gap, iter_cover_pairs
 from kheights.enumeration import EnumerationCapError, enumerate_fillings
 from kheights.graphs import (
+    Block,
+    BlockFamily,
     CaseTag,
     Graph,
     boundary,
+    hex_block_family,
     make_case_graph,
     make_complete,
+    make_toroidal_hex,
     make_toroidal_rect,
     singleton_family,
 )
@@ -120,6 +138,254 @@ def test_conditional_high_draw_consistency():
             p = next(p for a, b, p in joint.support
                      if a == lo and b == hi)
             assert Fraction(cnt, total) == p / Fraction(1, len(fl))
+
+
+# ---------------------------------------------------------------------------
+# the per-entry Strassen joint, kept as the oracle of the integer rows
+
+
+@dataclass(frozen=True)
+class _OracleJoint:
+    support: tuple
+    low_size: int
+    high_size: int
+
+    def expected_delta(self) -> Fraction:
+        return sum(
+            (p * sum(abs(a - b) for a, b in zip(lo, hi))
+             for lo, hi, p in self.support),
+            Fraction(0),
+        )
+
+    def marginal_low(self) -> dict:
+        out = {}
+        for lo, _hi, p in self.support:
+            out[lo] = out.get(lo, Fraction(0)) + p
+        return out
+
+    def marginal_high(self) -> dict:
+        out = {}
+        for _lo, hi, p in self.support:
+            out[hi] = out.get(hi, Fraction(0)) + p
+        return out
+
+
+def _oracle_strassen_joint(low_set, high_set) -> _OracleJoint:
+    """The joint as a sorted tuple of (low, high, Fraction): the network
+    from one L x H x m broadcast and COO triples, scipy's default method."""
+    low_set = list(low_set)
+    high_set = list(high_set)
+    L, H = len(low_set), len(high_set)
+    if L == 0 or H == 0:
+        raise ValueError("empty filling set")
+    denom = L * H
+    if L == 1 and H == 1:
+        lo, hi = low_set[0], high_set[0]
+        if any(a > b for a, b in zip(lo, hi)):
+            raise DominanceError("singleton pair not comparable")
+        return _OracleJoint(((lo, hi, Fraction(1)),), 1, 1)
+    if L * H * len(low_set[0]) > coupling.ENUMERATION_CAP:
+        raise EnumerationCapError("cap")
+    n = L + H + 2
+    lo, hi = np.array(low_set), np.array(high_set)
+    i, j = np.nonzero(np.all(lo[:, None, :] <= hi[None, :, :], axis=2))
+    rows = np.concatenate([np.zeros(L, int), 1 + L + np.arange(H), 1 + i])
+    cols = np.concatenate([1 + np.arange(L), np.full(H, n - 1), 1 + L + j])
+    caps = np.concatenate([np.full(L, H), np.full(H, L), np.full(len(i), H)])
+    graph = csr_matrix((caps, (rows, cols)), shape=(n, n), dtype=np.int32)
+    result = maximum_flow(graph, 0, n - 1)
+    if result.flow_value != denom:
+        raise DominanceError("dominance fails")
+    flow = np.asarray(result.flow[1 + i, 1 + L + j]).ravel()
+    support = sorted((low_set[a], high_set[b], Fraction(int(f), denom))
+                     for a, b, f in zip(i, j, flow) if f > 0)
+    return _OracleJoint(tuple(support), L, H)
+
+
+def _oracle_conditional_high_draw(joint: _OracleJoint, low, r: int):
+    acc = 0
+    for lo, hi, p in joint.support:
+        if lo == low:
+            acc += p.numerator * (joint.low_size * joint.high_size
+                                  // p.denominator)
+            if r < acc:
+                return hi
+    raise AssertionError("conditional draw ran past the support")
+
+
+def _assert_joint_matches_oracle(low, high):
+    try:
+        want = _oracle_strassen_joint(low, high)
+    except (DominanceError, EnumerationCapError) as exc:
+        with pytest.raises(type(exc)):
+            strassen_joint(low, high)
+        return
+    got = strassen_joint(low, high)
+    assert (got.low_size, got.high_size) == (want.low_size, want.high_size)
+    assert got.support == want.support
+    assert got.marginal_low() == want.marginal_low()
+    assert got.marginal_high() == want.marginal_high()
+    assert got.expected_delta() == want.expected_delta()
+    assert len(got) == len(want.support)
+    for lo in low:
+        assert [conditional_high_draw(got, lo, r)
+                for r in range(len(high))] == [
+            _oracle_conditional_high_draw(want, lo, r)
+            for r in range(len(high))]
+
+
+def _block_cover_fillings(graph, family, k, seed, tries=30):
+    """Filling lists of a block under the two sides of a cover pair at
+    one of its boundary vertices, from a k-height the chain reached."""
+    sampler = BlockSampler(graph, family, k)
+    st = make_chain(graph, k, seed)
+    step_updown(st, 20 * graph.n)
+    rnd = random.Random(seed)
+    for _ in range(tries):
+        b = rnd.randrange(len(family.blocks))
+        u = rnd.choice(sorted(boundary(graph, family.blocks[b])))
+        high = list(st.values)
+        high[u] += 1
+        if not is_valid(graph, high, k):
+            continue
+        fl = sampler.fillings_for(b, st.values)
+        fh = sampler.fillings_for(b, high)
+        if fl and fh:
+            yield fl, fh
+
+
+def _rect_windows(graph, w, h):
+    """Every w x h window of a toroidal rect graph as an enumerated block."""
+    g, gh = graph.dims
+    return BlockFamily(tuple(
+        Block(tuple(((y + j) % gh) * g + (x + i) % g
+                    for j in range(h) for i in range(w)))
+        for y in range(gh) for x in range(g)))
+
+
+_HEX = make_toroidal_hex(4, 4)
+_RECT = make_toroidal_rect(8, 8)
+_ORACLE_SOURCES = [
+    CaseTag("type1", (1,), 6), CaseTag("type1", (1, 3), 5),
+    CaseTag("type1", (2,), 4), CaseTag("type2", (1,)),
+    CaseTag("type2", (2, 5)),
+    (_HEX, hex_block_family(_HEX)), (_RECT, _rect_windows(_RECT, 2, 2)),
+    (_RECT, _rect_windows(_RECT, 3, 2)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(source=strategies.sampled_from(_ORACLE_SOURCES),
+       k=strategies.integers(1, 3), seed=strategies.integers(0, 2 ** 16),
+       shuffle=strategies.booleans())
+def test_strassen_joint_matches_the_oracle(source, k, seed, shuffle):
+    """Integer rows against the per-entry joint on cover pairs of case
+    graphs and of hex and rect blocks, in enumeration order or shuffled,
+    both ways round (the reversed pair mostly fails dominance), and with
+    the cap one entry short of the pair."""
+    if isinstance(source, CaseTag):
+        pairs = (p[-2:] for p in _cover_pair_fillings(source, k, seed))
+    else:
+        pairs = _block_cover_fillings(*source, k, seed)
+    # the oracle draw walks the whole support for every (lo, r)
+    pairs = [p for p in islice(pairs, 10) if len(p[0]) * len(p[1]) <= 12000]
+    rnd = random.Random(seed)
+    for fl, fh in pairs[:2]:
+        if shuffle:
+            fl, fh = rnd.sample(fl, len(fl)), rnd.sample(fh, len(fh))
+        _assert_joint_matches_oracle(fl, fh)
+        _assert_joint_matches_oracle(fh, fl)
+        size = len(fl) * len(fh) * len(fl[0])
+        if size > len(fl[0]):
+            with mock.patch.object(coupling, "ENUMERATION_CAP", size - 1):
+                _assert_joint_matches_oracle(fl, fh)
+
+
+def test_strassen_joint_matches_the_oracle_on_small_sets():
+    for low, high in [([(0,)], [(1,)]), ([(2,)], [(0,)]),
+                      ([(1, 0), (0, 0)], [(1, 1)]),
+                      ([(0, 2), (2, 0)], [(1, 0), (0, 1)]),
+                      ([(1,), (0,)], [(2,), (1,)]),
+                      ([(0, 1), (1, 0), (0, 0)], [(1, 1), (0, 1), (1, 0)])]:
+        _assert_joint_matches_oracle(low, high)
+
+
+def test_strassen_refuses_repeated_fillings():
+    for low, high in [([(0,), (0,)], [(1,), (2,)]),
+                      ([(0,), (1,)], [(2,), (2,)]),
+                      ([(0, 0), (0, 1), (0, 0)], [(1, 1)])]:
+        with pytest.raises(ValueError, match="repeated") as caught:
+            strassen_joint(low, high)
+        assert type(caught.value) is ValueError
+
+
+def test_block_couple_time_calls_strassen_in_every_op(capsys):
+    """Each couple-time op has its own sampler and joint memo: a second
+    op in the process calls strassen_joint as often as the first (the
+    benchmark's tracer counts it per op), and less often than it draws
+    a conditional filling."""
+    argv = ["couple-time", "--chain", "block", "--graph", "hex:4x4",
+            "--k", "2", "--trials", "1", "--seed", "0"]
+    counts = []
+    for _ in range(2):
+        with mock.patch.object(coupling, "strassen_joint",
+                               wraps=strassen_joint) as joint, \
+                mock.patch.object(coupling, "conditional_high_draw",
+                                  wraps=conditional_high_draw) as draw:
+            assert main(argv) == 0
+        counts.append((joint.call_count, draw.call_count))
+    assert counts[0] == counts[1]
+    assert 0 < counts[0][0] < counts[0][1]
+    capsys.readouterr()
+
+
+def test_joint_memo_evicts_least_recently_used(monkeypatch):
+    # the identity lists [(0,), ..., (n-1,)] on both sides force the
+    # diagonal joint: n support entries
+    monkeypatch.setattr(chains, "JOINT_MEMO_ENTRIES", 5)
+    g = make_toroidal_hex(4, 4)
+    sampler = BlockSampler(g, hex_block_family(g), 2)
+    built = []
+
+    def build(low, high):
+        built.append(len(low))
+        return strassen_joint(low, high)
+
+    def joint(n):
+        fillings = [(i,) for i in range(n)]
+        return sampler.joint(fillings, list(fillings), build)
+
+    assert len(joint(1)) == 1 and len(joint(2)) == 2
+    joint(1)  # equal content, new lists: a hit that makes 1 the newest
+    assert built == [1, 2]
+    joint(3)  # 6 entries: 2, the least recently used, goes
+    joint(1)
+    joint(3)
+    assert built == [1, 2, 3]
+    joint(2)  # 1 is now the least recently used
+    joint(3)
+    assert built == [1, 2, 3, 2]
+    joint(1)
+    assert built == [1, 2, 3, 2, 1]
+
+
+def test_block_sampler_with_joints_is_freed_without_the_cycle_collector():
+    g = make_toroidal_hex(4, 4)
+    sampler = BlockSampler(g, hex_block_family(g), 2)
+    coupled = CoupledState(KHeight.constant(g, 2, 0),
+                           KHeight.constant(g, 2, 2), make_rng(3))
+    gc.disable()
+    try:
+        with mock.patch.object(coupling, "strassen_joint",
+                               wraps=strassen_joint) as joint:
+            for _ in range(30):
+                coupled_block_step(coupled, sampler)
+        assert joint.call_count > 0
+        ref = weakref.ref(sampler)
+        del sampler
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_path_decompose_properties():
