@@ -109,6 +109,15 @@ class JointCoupling:
         return out
 
 
+def check_joint_size(L: int, H: int, m: int) -> None:
+    """Raise EnumerationCapError when a joint of L x H fillings of m
+    vertices would compare more than ENUMERATION_CAP entries."""
+    if L * H * m > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{L} x {H} filling pairs of {m} vertices exceed "
+            f"cap {ENUMERATION_CAP}")
+
+
 def strassen_joint(low_set, high_set) -> JointCoupling:
     """Joint distribution of the uniform laws on two filling sets, with
     support only on pointwise-comparable pairs.
@@ -142,10 +151,7 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
         return JointCoupling(low_set, high_set, array("q", (0, 1)),
                              array("i", (0,)), array("q", (1,)))
     m = len(low_set[0])
-    if L * H * m > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{L} x {H} filling pairs of {m} vertices exceed "
-            f"cap {ENUMERATION_CAP}")
+    check_joint_size(L, H, m)
     if len(set(low_set)) < L or len(set(high_set)) < H:
         raise ValueError("repeated filling in a filling set")
     lo, hi = np.array(low_set), np.array(high_set)
@@ -208,32 +214,30 @@ def conditional_high_draw(joint: JointCoupling, low, r: int):
 # lattice paths
 
 
-def path_decompose(x: KHeight, y: KHeight) -> list[tuple[KHeight, KHeight]]:
-    """Shortest lattice path between two k-heights as a chain of cover
-    pairs; its length is exactly delta(x, y).
+def path_decompose(x, y) -> list[tuple[int, ...]]:
+    """Shortest lattice path between the values x and y of two k-heights
+    of one graph: the states after each step, delta(x, y) of them.
 
-    For x <= y the path repeatedly raises, among the vertices where the
-    two still differ, one of minimal current value (smallest index on
-    ties); minimality guarantees the raise stays valid.  Incomparable
-    pairs route through the meet.
+    From x down to their meet w = min(x, y), then up to y.  The way up
+    from w to z makes the raises (a, v), w_v <= a < z_v, in the
+    lexicographic order of (a, v): each raises a vertex of lowest
+    current value (smallest index on ties) among those still below z,
+    and that lowest value never falls.  So every state is a k-height: a
+    raised vertex v at value a has every neighbour at >= a, as one still
+    below z is at >= a and one already at z_u is within 1 of z_v > a.
+    The way down runs the way up from w to x backwards.
     """
-    if x.values == y.values:
-        return []
-    if not (x <= y):
-        if y <= x:
-            return [(lo, hi) for lo, hi in reversed(path_decompose(y, x))]
-        m = x.meet(y)
-        down = [(lo, hi) for lo, hi in reversed(path_decompose(m, x))]
-        return down + path_decompose(m, y)
-    pairs = []
-    cur = x
-    while cur.values != y.values:
-        cand = [v for v in range(cur.graph.n) if cur.values[v] < y.values[v]]
-        v = min(cand, key=lambda u: (cur.values[u], u))
-        nxt = cur.with_value(v, cur.values[v] + 1)
-        pairs.append((cur, nxt))
-        cur = nxt
-    return pairs
+    meet = tuple(map(min, x, y))
+
+    def up(z):
+        cur, states = list(meet), []
+        for _a, v in sorted((a, v) for v, (lo, hi) in enumerate(zip(meet, z))
+                            for a in range(lo, hi)):
+            cur[v] += 1
+            states.append(tuple(cur))
+        return states
+
+    return [meet, *up(x)][-2::-1] + up(y)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +311,8 @@ def coupled_block_step(coupled: CoupledState,
     linking conditional draws so the endpoints stay comparable.
 
     Two links with L != H fillings have different filling lists, so
-    strassen_joint would refuse them when L * H * m passes
-    ENUMERATION_CAP (m vertices a filling).  That EnumerationCapError is
-    raised first from the BlockSampler.ranked counts, which list nothing
+    strassen_joint would refuse them by check_joint_size.  That check
+    is made first on the BlockSampler.ranked counts, which list nothing
     for a ranker-shaped block (enumeration.dp_shape).  Links with L == H
     may have equal lists, which need no joint, and are left to
     strassen_joint.  The joints come from the sampler's memo
@@ -322,16 +325,12 @@ def coupled_block_step(coupled: CoupledState,
         return coupled
     r = int(rng.integers(sampler.family.total_count))
     b = sampler.pick_block(r)
-    low = KHeight(coupled.graph, coupled.k, tuple(coupled.low))
-    high = KHeight(coupled.graph, coupled.k, tuple(coupled.high))
-    chain = [low.values] + [hi.values for _lo, hi in path_decompose(low, high)]
+    chain = [tuple(coupled.low)] + path_decompose(coupled.low, coupled.high)
     m = len(sampler.family.blocks[b].vertices)
     sizes = [sampler.ranked(b, z)[0] for z in chain]
     for L, H in zip(sizes, sizes[1:]):
-        if L != H and L * H * m > ENUMERATION_CAP:
-            raise EnumerationCapError(
-                f"{L} x {H} filling pairs of {m} vertices exceed "
-                f"cap {ENUMERATION_CAP}")
+        if L != H:
+            check_joint_size(L, H, m)
     fillings = [sampler.fillings_for(b, z) for z in chain]
     f = f_low = fillings[0][int(rng.integers(len(fillings[0])))]
     for i in range(1, len(chain)):

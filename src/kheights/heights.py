@@ -61,11 +61,6 @@ class KHeight:
         self._check_compatible(other)
         return all(a <= b for a, b in zip(self.values, other.values))
 
-    def with_value(self, vertex: int, value: int) -> "KHeight":
-        vals = list(self.values)
-        vals[vertex] = value
-        return KHeight(self.graph, self.k, tuple(vals))
-
     def _check_compatible(self, other):
         if other.graph is not self.graph and other.graph != self.graph:
             raise ValueError("k-heights on different graphs")
@@ -82,10 +77,6 @@ class BoundaryConstraint:
     """
 
     values: tuple[tuple[int, int], ...]
-
-    @classmethod
-    def from_height(cls, height: KHeight, bdry) -> "BoundaryConstraint":
-        return cls(tuple(sorted((v, height.values[v]) for v in bdry)))
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.values)

@@ -15,7 +15,7 @@ from scipy.sparse.csgraph import maximum_flow
 from hypothesis import given, settings, strategies
 
 from conftest import rng_fields, small_graphs
-from kheights import chains, coupling
+from kheights import chains, coupling, heights
 from kheights.chains import (
     BlockSampler,
     make_chain,
@@ -388,22 +388,63 @@ def test_block_sampler_with_joints_is_freed_without_the_cycle_collector():
         gc.enable()
 
 
-def test_path_decompose_properties():
+def _path_decompose_oracle(x: KHeight, y: KHeight) -> list:
+    """The greedy cover path on KHeights: cover pairs (lo, hi) from x to
+    y, each raise of a vertex of minimal current value (smallest index
+    on ties) among those below y; incomparable pairs through the meet."""
+    if x.values == y.values:
+        return []
+    if not (x <= y):
+        if y <= x:
+            return [(lo, hi) for lo, hi
+                    in reversed(_path_decompose_oracle(y, x))]
+        m = x.meet(y)
+        down = [(lo, hi) for lo, hi in reversed(_path_decompose_oracle(m, x))]
+        return down + _path_decompose_oracle(m, y)
+    pairs = []
+    cur = x
+    while cur.values != y.values:
+        cand = [v for v in range(cur.graph.n) if cur.values[v] < y.values[v]]
+        v = min(cand, key=lambda u: (cur.values[u], u))
+        vals = list(cur.values)
+        vals[v] += 1
+        nxt = KHeight(cur.graph, cur.k, tuple(vals))
+        pairs.append((cur, nxt))
+        cur = nxt
+    return pairs
+
+
+def test_path_decompose_matches_the_oracle():
     for g in small_graphs(4):
-        k = 2
-        states = [KHeight(g, k, v) for v in enumerate_heights(g, k)]
-        rnd = random.Random(3)
-        for _ in range(20):
-            x, y = rnd.choice(states), rnd.choice(states)
-            path = path_decompose(x, y)
-            assert len(path) == x.delta(y)
-            cur = x.values
-            for lo, hi in path:
-                assert lo.delta(hi) == 1 and lo <= hi
-                assert is_valid(g, lo.values, k) and is_valid(g, hi.values, k)
-                assert cur in (lo.values, hi.values)
-                cur = hi.values if cur == lo.values else lo.values
-            assert cur == y.values
+        for k in range(4):
+            hs = [KHeight(g, k, v) for v in enumerate_heights(g, k)]
+            for x in hs:
+                for y in hs:
+                    path = path_decompose(x.values, y.values)
+                    want, cur = [], x.values
+                    for lo, hi in _path_decompose_oracle(x, y):
+                        cur = hi.values if cur == lo.values else lo.values
+                        want.append(cur)
+                    assert path == want
+                    assert len(path) == x.delta(y)
+                    assert path[-1:] == ([y.values] if x != y else [])
+                    for a, b in zip([x.values] + path, path):
+                        assert is_valid(g, b, k)
+                        assert sum(abs(s - t) for s, t in zip(a, b)) == 1
+
+
+def test_block_coalescence_validates_only_the_start_heights(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return is_valid(*args)
+
+    monkeypatch.setattr(heights, "is_valid", counted)
+    g = make_toroidal_hex(4, 4)
+    coupling_time_estimate(g, 2, mode="block", trials=1, seed=0,
+                           family=hex_block_family(g))
+    assert len(calls) <= 2
 
 
 def test_coupled_updown_monotone(path3):

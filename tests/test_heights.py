@@ -77,7 +77,7 @@ def test_kheight_validates():
 
 def test_cover_pair_contract(path3):
     x = KHeight(path3, 2, (0, 1, 1))
-    y = x.with_value(0, 1)
+    y = KHeight(path3, 2, (1, 1, 1))
     pair = CoverPair(x, y)
     assert pair.vertex == 0
     with pytest.raises(ValueError):
@@ -138,9 +138,3 @@ def test_boundary_constraint_allowed(path3):
     # no value lies within 1 of both 0 and 3: lo > hi
     c4 = BoundaryConstraint(((0, 0), (2, 3)))
     assert c4.allowed(path3, block, 3) == [(2, 1)]
-
-
-def test_boundary_constraint_from_height(path3):
-    h = KHeight(path3, 2, (0, 1, 2))
-    c = BoundaryConstraint.from_height(h, [2, 0])
-    assert c.values == ((0, 0), (2, 2))
