@@ -141,7 +141,7 @@ def cmd_tables(args) -> int:
         e6 = f"{rep.e_max_rounded():.6f}"
         lines.append(f"{rep.k},{rep.case_id},{rep.omega_block},"
                      f"{rep.omega_boundary},{e6}")
-        ref = None if rep.k == 0 else _golden_row(args.id, rep)
+        ref = _golden_row(args.id, rep)
         if ref is not None:
             ref_ob, ref_bd, ref_e = ref
             ok = (rep.omega_block == ref_ob and rep.omega_boundary == ref_bd
@@ -419,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bound", help="mixing-bound constants")
     b.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
-    b.add_argument("--k", type=_int_at_least(0), required=True)
+    # c = 8bmk(k+1)^b / denominator is 0 at k=0: no bound to report
+    b.add_argument("--k", type=_int_at_least(1), required=True)
     b.add_argument("--n", type=_int_at_least(1))
     b.add_argument("--eps", type=_eps)
     b.add_argument("--out")

@@ -10,7 +10,8 @@ it pins the block.  It runs in float64 and refuses (EnumerationCapError)
 any input whose entries it cannot bound below 2^53.  The outermost
 boundary axis is streamed: a type-1 cycle runs one pass per value of its
 first vertex, and the 4x4 grid one (t, t, t) slice per top boundary
-path, of which rect_max holds three at a time.  Then the
+path of cell sum at most 2k, of which rect_max holds three at a time
+(the flip x -> k - x gives every other cover pair's gap).  Then the
 expected-weight gap is maximized over all extensible cover pairs; floats
 are only a prefilter there, and every candidate maximum is confirmed
 with exact integers.
@@ -229,7 +230,7 @@ def maximize_gap(pairs):
             flat = np.flatnonzero(gap >= floor(best_f))
             entries = [np.asarray(x).flat[flat] for x in (c1, w1, c2, w2)]
             kept.append((key, flat, gap.flat[flat], entries))
-        del gap
+        del gap, c1, w1, c2, w2  # hold nothing while the next pair is made
     if best_f == -np.inf:
         raise ValueError("no extensible cover pair")
     # the floor only rises, so the survivors of the final floor are
@@ -259,19 +260,24 @@ def maximize_gap(pairs):
 def case_divergence(tag: CaseTag, k: int) -> DivergenceReport:
     """Block divergence of a catalog case, maximized over all boundary
     cover pairs pivoted at the external vertex.  Memoised on (tag, k):
-    the aggregates and tables ask for the same cases many times."""
+    the aggregates and tables ask for the same cases many times.  At
+    k=0 the all-zero height is the only one: no cover pair exists, and
+    the divergence is 0 with no witness."""
     d = tag.d
     cnt, wgt = _case_stats(tag, k)
-    e_max, x, slot_vals = maximize_gap(
-        (p, (cnt[p], wgt[p]), (cnt[p + 1], wgt[p + 1])) for p in range(k))
-    pins = [(d, x)] + [(d + 1 + a, v) for a, v in enumerate(slot_vals)]
+    e_max, witness = Fraction(0), None
+    if k:
+        e_max, x, slot_vals = maximize_gap(
+            (p, (cnt[p], wgt[p]), (cnt[p + 1], wgt[p + 1]))
+            for p in range(k))
+        pins = [(d, x)] + [(d + 1 + a, v) for a, v in enumerate(slot_vals)]
+        witness = (BoundaryConstraint(tuple(sorted(pins))), d)
     shape = "cycle" if tag.kind == "type1" else "path"
     return DivergenceReport(
         k=k, case_id=str(tag),
         omega_block=FillingRanker(shape, [(0, k)] * d).count,
         # the boundary vertices are independent: one entry per assignment
-        omega_boundary=cnt.size, e_max=e_max,
-        witness=(BoundaryConstraint(tuple(sorted(pins))), d),
+        omega_boundary=cnt.size, e_max=e_max, witness=witness,
     )
 
 
@@ -298,12 +304,6 @@ def type2_cases() -> list[tuple[int, ...]]:
 def reproduce_table(table_id: str, k: int,
                     cases=None) -> list[DivergenceReport]:
     """Compute one table's rows: table_id in {rect, hex, type1, type2}."""
-    if k == 0:
-        # the all-zero height is the only one; no cover pair exists and
-        # the divergence is 0 by convention
-        return [DivergenceReport(k=0, case_id=table_id, omega_block=1,
-                                 omega_boundary=1, e_max=Fraction(0),
-                                 witness=None)]
     if table_id == "hex":
         return [hex_divergence(k)]
     if table_id == "rect":
@@ -363,23 +363,34 @@ def rect_stat_tensors(k: int):
 
 @cache
 def rect_max(k: int) -> Fraction:
-    """Exact E_max of the 4x4 block: the maximum over the two
-    symmetry-distinct pivot positions (path end and path middle) of the
-    top boundary path.  Memoised on k, like case_divergence: the table
-    and the bound ask for the same k.
+    """Exact E_max of the 4x4 block: the largest gap of a cover pair of
+    top boundary paths that differ at the first or second cell (the
+    pivot at the path's end or next to it; the other two cells are their
+    mirror images).  Memoised on k, like case_divergence: the table and
+    the bound ask for the same k.  0 at k=0, where the all-zero height
+    is the only one and no cover pair exists.
 
-    The top paths are visited in colexicographic order (last cell most
-    significant), where a path's cover partners, its first or second
-    cell +1, follow it within two places; so each slice is computed once
-    and only the last three are held.
+    The flip x -> k - x maps the fillings under top path P to those
+    under flip P and a weight w to 16k - w, so the pair (P, P + e) has
+    at (left, right, bottom) the gap of the pair (flip(P + e), flip P)
+    at the flipped paths.  Their low sides sum to s and 4k - 1 - s, of
+    which exactly one is at most 2k - 1: only the slices of top paths
+    that sum to at most 2k are computed.  They are visited in
+    colexicographic order (last cell most significant), where a path's
+    cover partners, its first or second cell +1, follow it within two
+    places; so each slice is computed once and only the last three are
+    held.
     """
+    if k == 0:
+        return Fraction(0)
     rows, top_slice = rect_stat_tensors(k)
     paths = [tuple(v) for v in rows.tolist()]
     index = {v: i for i, v in enumerate(paths)}
+    half = [i for i, v in enumerate(paths) if sum(v) <= 2 * k]
 
     def pairs():
         window = {}  # top index -> slice, the last three computed
-        for j in sorted(range(len(paths)), key=lambda i: paths[i][::-1]):
+        for j in sorted(half, key=lambda i: paths[i][::-1]):
             if len(window) == 3:
                 del window[next(iter(window))]
             window[j] = top_slice(j)

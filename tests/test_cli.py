@@ -8,7 +8,7 @@ import pytest
 from kheights import __version__, chains, cli, coupling, graphs, tables
 from kheights.cli import _ramp, main, parse_case, parse_graph
 from kheights.enumeration import ENUMERATION_CAP
-from kheights.graphs import make_toroidal_rect
+from kheights.graphs import CaseTag, make_toroidal_rect
 
 
 def test_parse_graph_specs(tmp_path):
@@ -39,8 +39,26 @@ def test_tables_hex_golden(capsys):
 
 
 def test_tables_rect_k0(capsys):
+    # the row carries the block's own id, as at every other k
     assert main(["tables", "--id", "rect", "--k", "0"]) == 0
-    assert "0,rect,1,1,0.000000" in capsys.readouterr().out
+    assert "0,rect4x4,1,1,0.000000" in capsys.readouterr().out
+
+
+def test_tables_type1_k0_one_row_per_case(capsys):
+    assert main(["tables", "--id", "type1", "--k", "0"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert rows == [f"0,{CaseTag('type1', labels, d)},1,1,0.000000"
+                    for d, labels in tables.type1_cases()]
+
+
+def test_divergence_case_k0_is_zero_without_witness(capsys):
+    # hex is the case 1_6[1]: both entry points agree at k=0
+    for argv in (["--case", "1_6[1]"], ["--family", "hex"]):
+        assert main(["divergence", *argv, "--k", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert (doc["e_max_exact"], doc["omega_block"],
+                doc["omega_boundary"]) == ("0", 1, 1)
+        assert "witness" not in doc
 
 
 def test_tables_single_case(capsys):
@@ -204,6 +222,9 @@ def test_bad_flag_exits_3():
     ["bound", "--family", "hex", "--k", "2", "--n", "32", "--eps", "nan"],
     ["bound", "--family", "hex", "--k", "2", "--n", "0", "--eps", "0.1"],
     ["bound", "--family", "rect", "--k", "2", "--n", "0"],
+    # c = 8bmk(k+1)^b / denominator is 0 at k=0
+    ["bound", "--family", "rect", "--k", "0"],
+    ["bound", "--family", "hex", "--k", "0"],
 ])
 def test_out_of_range_count_flag_exits_3(argv):
     with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import product
 
 import numpy as np
@@ -99,11 +99,19 @@ def test_case_catalog_shapes():
 
 
 def test_reproduce_table_k0_trivial():
-    for tid in ("rect", "hex", "type1", "type2"):
+    # the engines return 0 with no witness at k=0, and every row carries
+    # its own id
+    ids = {"rect": ["rect4x4"], "hex": ["hex"],
+           "type1": [str(CaseTag("type1", labels, d))
+                     for d, labels in type1_cases()],
+           "type2": [str(CaseTag("type2", labels))
+                     for labels in type2_cases()]}
+    for tid, want in ids.items():
         rows = reproduce_table(tid, 0)
-        assert len(rows) == 1
-        assert rows[0].e_max == 0
-        assert rows[0].omega_block == 1
+        assert [rep.case_id for rep in rows] == want
+        for rep in rows:
+            assert (rep.e_max, rep.omega_block, rep.omega_boundary,
+                    rep.witness) == (0, 1, 1, None)
 
 
 def test_admissible_cases_filtering():
@@ -271,7 +279,7 @@ _RECT = make_toroidal_rect(8, 8)
 _RECT_BLOCK = rect_block_family(_RECT).blocks[0]
 
 
-@cache
+@lru_cache(maxsize=16)  # a k=3 (count, weight) slice pair is 5 MB
 def _rect_slice(k, top):
     rows, top_slice = rect_stat_tensors(k)
     return rows, top_slice(top)
@@ -302,6 +310,58 @@ def test_rect_engine_matches_scalar_dp(entry):
                                                     want.total_weight)
 
 
+@st.composite
+def rect_flips(draw):
+    """k in 1..3, a top path index and the index of its flip x -> k - x
+    among the rect slices of that k."""
+    k = draw(st.integers(1, 3))
+    rows = rect_stat_tensors(k)[0]
+    index = {tuple(v): i for i, v in enumerate(rows.tolist())}
+    flip = [index[tuple(k - v)] for v in rows]
+    return k, flip, draw(st.integers(0, len(rows) - 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(rect_flips())
+def test_rect_slice_flip_symmetry(entry):
+    # the identity rect_max halves its slices by: the fillings under the
+    # flipped paths are the flipped fillings, of weight 16k - w each
+    k, flip, i = entry
+    _, (cnt, wgt) = _rect_slice(k, i)
+    _, (cnt_f, wgt_f) = _rect_slice(k, flip[i])
+    at = np.ix_(flip, flip, flip)  # [l, r, b] -> [flip l, flip r, flip b]
+    assert np.array_equal(cnt_f[at], cnt)
+    assert np.array_equal(wgt_f[at], 16 * k * cnt - wgt)
+
+
+def _rect_max_oracle(k):
+    """rect_max over every top path: each cover pair of top paths that
+    differ at the first or second cell, all slices computed."""
+    rows, top_slice = rect_stat_tensors(k)
+    paths = [tuple(v) for v in rows.tolist()]
+    index = {v: i for i, v in enumerate(paths)}
+
+    def pairs():
+        window = {}  # top index -> slice, the last three computed
+        for j in sorted(range(len(paths)), key=lambda i: paths[i][::-1]):
+            if len(window) == 3:
+                del window[next(iter(window))]
+            window[j] = top_slice(j)
+            for pos in (0, 1):
+                low = list(paths[j])
+                low[pos] -= 1
+                i = index.get(tuple(low))
+                if i is not None:
+                    yield (pos, i), window[i], window[j]
+
+    return maximize_gap(pairs())[0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rect_max_matches_unhalved_oracle(k):
+    assert tables.rect_max(k) == _rect_max_oracle(k)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_rect_divergence_computes_each_slice_once(k, monkeypatch):
     computed = []
@@ -317,8 +377,13 @@ def test_rect_divergence_computes_each_slice_once(k, monkeypatch):
 
     monkeypatch.setattr(tables, "rect_stat_tensors", counting)
     tables.rect_max.cache_clear()  # compute, not recall
-    tables.rect_divergence(k)
-    assert sorted(computed) == list(range(len(rect_stat_tensors(k)[0])))
+    rep = tables.rect_divergence(k)
+    # only the top paths of cell sum at most 2k, none of them twice
+    rows = rect_stat_tensors(k)[0]
+    assert sorted(computed) == [i for i, v in enumerate(rows)
+                                if v.sum() <= 2 * k]
+    if k == 4:  # the exact maximum that criterion 04 pins
+        assert rep.e_max == Fraction(338454163, 149011239)
 
 
 def test_rect_divergence_memory_is_a_few_slices():
