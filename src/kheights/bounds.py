@@ -142,39 +142,45 @@ def marginal_bound(k: int, delta: int) -> Fraction:
 # family pipeline
 
 
-def _grid_denominator(m_check: int, s: int, e_max) -> Fraction:
-    """(1 - beta) |family| for the corollary beta: (m_check - s(E-1)) / 2."""
-    return Fraction(m_check - s * (Fraction(e_max) - 1), 2)
-
-
 def family_report(family: str, k: int) -> dict:
     """Exact and published-track bound constants for one graph family.
 
-    For rect/hex the exact input is the maximal block divergence E_max;
-    for the 3-regular families it is the per-vertex
-    membership-minus-divergence aggregate of the case catalog.
+    The exact track reduces every family to one per-vertex aggregate A
+    of memberships minus divergence: m_check - s (E_max - 1) from the
+    maximal block divergence E_max for rect/hex, and the aggregate of
+    the case catalog for the 3-regular families.  The family mixes
+    rapidly (certificate) when A > 0, with (1 - beta) |family| = A / 2.
 
     The published track reruns the same pipeline from the 6-decimal
     intermediates used in the published derivations; each intermediate
     carries a validity flag comparing it against the exact data (an
     upper bound on E_max must exceed the exact E_max, a lower bound on
-    the denominator must not exceed the exact denominator).
+    the denominator must not exceed the exact denominator).  Raises
+    ValueError for an unknown family or k < 1, where c is 0.
     """
     if family not in FAMILY_PARAMS:
         raise ValueError(f"unknown family {family!r}")
+    if k < 1:
+        raise ValueError("need k >= 1")
     b, m, m_check, s = FAMILY_PARAMS[family]
     report = {"family": family, "k": k, "b": b, "m": m,
               "m_check": m_check, "s": s}
-
-    if family in ("rect", "hex"):
+    grid = family in ("rect", "hex")
+    if grid:
         rep = rect_divergence(k) if family == "rect" else hex_divergence(k)
-        e_max = rep.e_max
-        report["e_max"] = e_max
-        report["certificate"] = e_max < 2
-        denom = _grid_denominator(m_check, s, e_max)
-        report["denominator_exact"] = denom
-        if e_max < 2:
-            report["c_exact"] = c_constant(b, m, k, denom)
+        e_max = report["e_max"] = rep.e_max
+        aggregate = m_check - s * (e_max - 1)
+    else:
+        connectivity = {"regular2": "two", "regular3": "three",
+                        "dual4": "dual4"}[family]
+        aggregate = regular_aggregates(connectivity, k)["bound"]
+        report["aggregate_exact"] = aggregate
+    report["certificate"] = aggregate > 0
+    denom = report["denominator_exact"] = aggregate / 2
+    if aggregate > 0:
+        report["c_exact"] = c_constant(b, m, k, denom)
+
+    if grid:
         pub_emax = (RECT_PUBLISHED_EMAX_BOUND if family == "rect"
                     else HEX_PUBLISHED_EMAX_BOUND).get(k)
         pub_denom = (RECT_PUBLISHED_DENOMINATOR if family == "rect"
@@ -201,16 +207,6 @@ def family_report(family: str, k: int) -> dict:
                 }
         return report
 
-    # 3-regular families: the denominator comes from the aggregate bound
-    connectivity = {"regular2": "two", "regular3": "three",
-                    "dual4": "dual4"}[family]
-    aggregate = regular_aggregates(connectivity, k)["bound"]
-    report["aggregate_exact"] = aggregate
-    report["certificate"] = aggregate > 0
-    denom = Fraction(aggregate, 2)
-    report["denominator_exact"] = denom
-    if aggregate > 0:
-        report["c_exact"] = c_constant(b, m, k, denom)
     pub_bound = REGULAR_PUBLISHED_BOUND.get((connectivity, k))
     if pub_bound is not None:
         pb = Fraction(pub_bound)

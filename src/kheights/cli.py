@@ -130,9 +130,8 @@ def cmd_tables(args) -> int:
         tag = parse_case(args.case)
         cases = ([(tag.d, tag.neighbor_labels)] if tag.kind == "type1"
                  else [tag.neighbor_labels])
-        table_id = "type1" if tag.kind == "type1" else "type2"
-        if args.id not in (table_id,):
-            raise ValueError(f"case {args.case} belongs to table {table_id}")
+        if args.id != tag.kind:  # the table ids of cases are their kinds
+            raise ValueError(f"case {args.case} belongs to table {tag.kind}")
     reports = reproduce_table(args.id, args.k, cases=cases)
     lines = ["# " + json.dumps(_provenance()),
              "k,case,omega_block,omega_boundary,e_max"]
@@ -181,7 +180,6 @@ def cmd_divergence(args) -> int:
 
 def cmd_bound(args) -> int:
     rep = family_report(args.family, args.k)
-    b, m, m_check, s = FAMILY_PARAMS[args.family]
     denom = rep["denominator_exact"]
     c_exact = rep.get("c_exact")
     beta = None

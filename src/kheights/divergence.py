@@ -88,7 +88,9 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     """Maximize expected_gap over all extensible cover pairs pivoted at v.
 
     Ties resolve to the first pair in iteration order (lexicographically
-    smallest witness).
+    smallest witness).  At k=0 the all-zero height is the only one: no
+    cover pair exists, and the divergence is 0 with no witness, as in
+    tables.case_divergence.
     """
     empty = BoundaryConstraint(())
     omega_block = filling_stats(graph, block, empty, k).count
@@ -98,7 +100,7 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     else:
         omega_boundary = sum(
             1 for _ in enumerate_boundary_constraints(graph, block, k))
-    best: Fraction | None = None
+    best: Fraction | None = None if k else Fraction(0)
     witness = None
     for lo, hi in iter_cover_pairs(graph, block, v, k):
         s_lo = filling_stats(graph, block, lo, k)

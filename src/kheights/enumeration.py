@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
@@ -48,8 +47,12 @@ def step_matrix(a, b=None, span: int = 1, dtype=object) -> np.ndarray:
     grid, span 1 gives the vertical compatibility matrix.  The default
     object dtype holds Python integers, so matrix powers stay exact.
     """
-    a = np.asarray(a).reshape(len(a), -1)
-    b = a if b is None else np.asarray(b).reshape(len(b), -1)
+    def states(x):
+        x = np.asarray(x)
+        return x[:, None] if x.ndim == 1 else x
+
+    a = states(a)
+    b = a if b is None else states(b)
     near = np.all(np.abs(a[:, None, :] - b[None, :, :]) <= span, axis=2)
     return near.astype(np.int64).astype(dtype)
 
@@ -99,21 +102,11 @@ def _layers(shape: str, ranges) -> list[tuple[tuple[int, ...], ...]]:
 @lru_cache(maxsize=1024)
 def _links(states: tuple, nxt: tuple) -> tuple[tuple[int, ...], ...]:
     """links[i]: the ascending indices of the states of nxt that differ
-    by at most 1 from states[i] in every cell.  Only the values within
-    the range of each cell of nxt are probed.  Memoised: a layer pair
-    depends only on the allowed values of its cells, which repeat
-    across the blocks and boundaries of one run."""
-    get = {s: j for j, s in enumerate(nxt)}.get
-    windows = []  # per cell: value -> the values of nxt within 1 of it
-    for own, col in zip(zip(*states), zip(*nxt)):
-        lo, hi = min(col), max(col)
-        windows.append({x: range(x - 1 if x > lo else lo,
-                                 x + 2 if x < hi else hi + 1)
-                        for x in set(own)})
-    return tuple(
-        tuple(j for j in map(get, product(*map(dict.__getitem__, windows, s)))
-              if j is not None)
-        for s in states)
+    by at most 1 from states[i] in every cell (step_matrix).  Memoised:
+    a layer pair depends only on the allowed values of its cells, which
+    repeat across the blocks and boundaries of one run."""
+    near = step_matrix(states, nxt, dtype=bool)
+    return tuple(tuple(np.flatnonzero(row).tolist()) for row in near)
 
 
 def dp_shape(graph: Graph, block: Block) -> str | None:

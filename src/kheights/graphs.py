@@ -49,7 +49,6 @@ class Graph:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] | None = None
     kind: str | None = None
     dims: tuple[int, int] | None = None
 

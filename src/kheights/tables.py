@@ -47,16 +47,16 @@ _PREFILTER_MARGIN = 1e-9
 #: k=6 needs 149^3 = 3.3e6, k=7 already 176^3 = 5.5e6
 RECT_SLICE_CAP = 1 << 22
 
-#: multiply-adds one _frontier_dp call may spend, and a catalogue case
-#: on all its passes together (_case_stats checks before it builds
-#: anything).  The rate runs from ~1.5e9 a second (d=7 cycles, k=19) to
-#: ~2.2e10 (d=3, k=925) on a 2-core x86 box, so 2^42 = 4.4e12 is three
-#: minutes or more.  Every case within the entry cap and the 2^53 bound
-#: up to k=221 fits; hex k=13, the last k the entry cap accepts, spends
-#: 6.1e9.  The rect table is bounded per slice by RECT_SLICE_CAP.
+#: multiply-adds a catalogue case may spend on all its passes together
+#: (_case_stats checks before it builds anything).  The rate runs from
+#: ~1.5e9 a second (d=7 cycles, k=19) to ~2.2e10 (d=3, k=925) on a
+#: 2-core x86 box, so 2^42 = 4.4e12 is three minutes or more.  Every
+#: case within the entry cap and the 2^53 bound up to k=221 fits; hex
+#: k=13, the last k the entry cap accepts, spends 6.1e9.  The rect table
+#: is bounded per slice by RECT_SLICE_CAP.
 FRONTIER_WORK_CAP = 1 << 42
 
-#: tensors of the largest size that _frontier_cost reports which a
+#: tensors of the largest size that _check_frontier works out which a
 #: _case_stats call holds at once, per case kind, from its traced peak
 #: (tracemalloc): 7.0 to 7.04 for the type-1 cases whose tensors come
 #: near the cap (hex among them); 1_3[1,2] and 1_4[1,2,3] reach 12, but
@@ -65,15 +65,20 @@ FRONTIER_WORK_CAP = 1 << 42
 #: 1 MiB a tensor at k=3..6, peak at 2.14 to 2.25 without label 8 and
 #: at 3.00 to 3.04 with it (2[1,8] 3.035 at k=3 and 3.001 at k=5,
 #: 2[1,2,8] 3.024 at k=4 and 3.002 at k=6).  The rect slices are
-#: checked at the type-1 count; RECT_SLICE_CAP keeps them far below it.
+#: bounded by RECT_SLICE_CAP alone: eight tensors of 2^22 entries stay
+#: within ENUMERATION_CAP.
 FRONTIER_LIVE_TENSORS = {"type1": 8, "type2": 4}
 
 
-def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
-    """(entries of the largest tensor, multiply-adds) of one _frontier_dp
-    call with S states per layer, for axes given as (size, masked
-    layers): a matmul per layer on the frontier, which grows by each
-    axis at its first masked layer, and one for the closing axes."""
+def _check_frontier(S: int, layers: int, axes, passes: int,
+                    kind: str) -> None:
+    """Raise EnumerationCapError when FRONTIER_LIVE_TENSORS[kind]
+    tensors of the largest size of a _frontier_dp call would exceed
+    ENUMERATION_CAP entries, or `passes` such calls together
+    FRONTIER_WORK_CAP multiply-adds.  The call has S states per layer
+    and axes given as (size, masked layers): it makes a matmul per layer
+    on the frontier, which grows by each axis at its first masked layer,
+    and one for the closing axes."""
     last = layers - 1
     closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
     joined = math.prod(n for a, (n, _) in enumerate(axes) if a not in closing)
@@ -85,28 +90,19 @@ def _frontier_cost(S: int, layers: int, axes) -> tuple[int, int]:
         frontier *= math.prod(n for a, (n, m) in enumerate(axes)
                               if a not in closing and min(m) == layer)
     work += 2 * frontier * S * closed
-    return max(joined * S, joined * closed, closed * S), work
-
-
-def _check_frontier(S: int, layers: int, axes, calls: int = 1,
-                    kind: str = "type1") -> None:
-    """Raise EnumerationCapError when FRONTIER_LIVE_TENSORS[kind]
-    tensors of the largest size of a _frontier_dp call of this shape
-    would exceed ENUMERATION_CAP entries, or `calls` such calls together
-    FRONTIER_WORK_CAP multiply-adds."""
-    largest, work = _frontier_cost(S, layers, axes)
+    largest = max(joined * S, joined * closed, closed * S)
     live = FRONTIER_LIVE_TENSORS[kind]
     if live * largest > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"{live} frontier tensors of {largest} entries "
             f"exceed the cap {ENUMERATION_CAP}")
-    if calls * work > FRONTIER_WORK_CAP:
+    if passes * work > FRONTIER_WORK_CAP:
         raise EnumerationCapError(
-            f"{calls * work} multiply-adds exceed the cap "
+            f"{passes * work} multiply-adds exceed the cap "
             f"{FRONTIER_WORK_CAP}")
 
 
-def _frontier_dp(T, weight, layers: int, axes, kind: str = "type1"):
+def _frontier_dp(T, weight, layers: int, axes):
     """Exact (count, weight) float64 tensors of a layered filling DP over
     integer inputs, indexed by its boundary axes in list order.
 
@@ -115,13 +111,12 @@ def _frontier_dp(T, weight, layers: int, axes, kind: str = "type1"):
     {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
     joins the frontier at its first mask, or, if masked at the last layer
     only, is contracted with that layer by one matmul.  Raises
-    EnumerationCapError before allocating (_check_frontier, charged as
-    a case of this kind) or when an entry could reach 2^53.
+    EnumerationCapError when an entry could reach 2^53; its size and
+    work are the caller's to bound (_check_frontier, RECT_SLICE_CAP).
     """
     S, last = len(weight), layers - 1
     sizes = [size for size, _ in axes]
     closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
-    _check_frontier(S, layers, axes, kind=kind)
 
     def top(a):
         return int(np.abs(np.asarray(a)).max(initial=0))
@@ -176,18 +171,16 @@ def _case_stats(tag: CaseTag, k: int):
     value and then the value of each slot of case_slots(tag)."""
     K, d = k + 1, tag.d
     # masked layers of the pivot axis, then of each boundary slot; the
-    # budget is checked before the K x K step matrix is built
+    # budget of all passes (one per first value of a cycle, below) is
+    # checked before the K x K step matrix is built
     at = [[i - 1 for i in tag.neighbor_labels]]
     at += [[bv] for bv in case_slots(tag)]
-    if tag.kind == "type2":
-        _check_frontier(K, d, [(K, m) for m in at], kind="type2")
-    else:
-        _check_frontier(K, d, [(K, m) for m in at] + [(1, [0, d - 1])],
-                        calls=K)
+    passes, pin = (K, [(1, [0, d - 1])]) if tag.kind == "type1" else (1, [])
+    _check_frontier(K, d, [(K, m) for m in at] + pin, passes, tag.kind)
     P = step_matrix(np.arange(K), dtype=np.int64)
     axes = [(K, dict.fromkeys(m, P)) for m in at]
     if tag.kind == "type2":
-        return _frontier_dp(P, np.arange(K), d, axes, kind="type2")
+        return _frontier_dp(P, np.arange(K), d, axes)
     # a cycle is summed over the value f of its first vertex, one pass
     # each: a size-1 axis pins vertex 0 to f and vertex d-1 within 1 of
     # it.  The passes count each filling once, so their sum stays below

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kheights.bounds import (
+    FAMILY_PARAMS,
     BoundInputs,
     beta_corollary,
     beta_exact,
@@ -153,6 +154,14 @@ def test_family_report_hex3_published_track():
 def test_family_report_rejects_unknown():
     with pytest.raises(ValueError):
         family_report("octagon", 2)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_PARAMS))
+def test_family_report_rejects_k_below_1(family):
+    # c = 8bmk(k+1)^b / denominator is 0 at k=0: no bound to report
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            family_report(family, k)
 
 
 def test_family_report_regular_known_flags():

@@ -301,6 +301,22 @@ def test_bound_benchmark_flags_give_tau_and_beta(capsys):
     assert doc["tau"] > 0 and 0 < doc["beta"] < 1
 
 
+# each family at the k of its published constants (rect, hex, regular3
+# and dual4 at k=2, 3; regular2 at k=2), with and without the flags that
+# give beta and tau: the whole document as recorded, provenance left out
+BOUND_DOCUMENTS = json.loads(
+    (Path(__file__).parent / "bound_documents.json").read_text())
+
+
+@pytest.mark.parametrize("argv", list(BOUND_DOCUMENTS))
+def test_bound_document_is_unchanged(argv, capsys):
+    assert main(argv.split()) == 0
+    doc = json.loads(capsys.readouterr().out)
+    del doc["provenance"]
+    assert json.dumps(doc, indent=2) == json.dumps(BOUND_DOCUMENTS[argv],
+                                                   indent=2)
+
+
 def test_main_calls_in_a_row_share_one_parser(capsys, monkeypatch):
     """main() builds its parser once per process; each call still acts
     as on a fresh one, and runs the cmd_* function bound at call time."""

@@ -27,6 +27,10 @@ def test_transfer_matrices_small():
     assert step_matrix(rows).tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
     assert step_matrix(rows[:, 1], rows[:, 0]).tolist() == [
         [1, 1, 0], [1, 1, 1], [1, 1, 1]]
+    # a layer with no state, as a contradictory boundary leaves it
+    assert step_matrix((), rows).shape == (0, 3)
+    assert step_matrix(rows, ()).shape == (3, 0)
+    assert FillingRanker("grid", [(1, 1), (3, 3)] + [(0, 3)] * 14).count == 0
 
 
 def test_count_cycle_vs_enumeration():

@@ -47,7 +47,7 @@ SPOT_CASES = [
 ]
 
 
-REFERENCE_PAIRS = [(tag, k) for tag in SPOT_CASES for k in (2, 3)
+REFERENCE_PAIRS = [(tag, k) for tag in SPOT_CASES for k in (0, 2, 3)
                    # the scalar reference is slow on 9-slot cases at k=3
                    if not (tag.kind == "type2" and k == 3)]
 
