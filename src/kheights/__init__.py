@@ -31,12 +31,7 @@ from .coupling import (
     strassen_joint,
 )
 from .divergence import DivergenceReport, block_divergence, expected_gap
-from .enumeration import (
-    FillingStats,
-    count_rect_extensible,
-    enumerate_heights,
-    filling_stats,
-)
+from .enumeration import FillingStats, count_rect_extensible, filling_stats
 from .graphs import (
     Block,
     BlockFamily,
@@ -51,7 +46,13 @@ from .graphs import (
     rect_block_family,
     singleton_family,
 )
-from .heights import BoundaryConstraint, CoverPair, KHeight, is_valid
+from .heights import (
+    BoundaryConstraint,
+    CoverPair,
+    KHeight,
+    enumerate_heights,
+    is_valid,
+)
 from .tables import (
     case_divergence,
     hex_divergence,

@@ -46,11 +46,15 @@ from .enumeration import (
     EnumerationCapError,
     dp_shape,
     enumerate_fillings,
-    enumerate_heights,
     filling_ranker,
 )
 from .graphs import BlockFamily, Graph, boundary
-from .heights import BoundaryConstraint, KHeight, value_ranges
+from .heights import (
+    BoundaryConstraint,
+    KHeight,
+    enumerate_heights,
+    value_ranges,
+)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -73,12 +77,9 @@ class ChainState:
         return KHeight(self.graph, self.k, tuple(self.values))
 
 
-def make_chain(graph: Graph, k: int, seed: int,
-               start: KHeight | None = None) -> ChainState:
-    if start is None:
-        start = KHeight.constant(graph, k, 0)
-    return ChainState(start.graph, start.k, list(start.values),
-                      make_rng(seed))
+def make_chain(graph: Graph, k: int, seed: int) -> ChainState:
+    start = KHeight.constant(graph, k, 0)  # refuses k < 0
+    return ChainState(graph, k, list(start.values), make_rng(seed))
 
 
 def updown_result(values: list[int], adj, k: int, v: int,
@@ -274,18 +275,19 @@ class BlockSampler:
             value_ranges(values, self._outside[block_idx], self.k)))
         return ranker.count, ranker.unrank
 
-    def joint(self, low, high, build):
-        """build(low, high) on the two filling lists as tuples, memoised
-        by their content: the blocks of a vertex-transitive graph give
-        equal lists.  The memo holds at most JOINT_MEMO_ENTRIES support
-        entries (len of a joint) in all, least recently used out first.
-        It keeps no builder, so the one passed is called on every miss."""
+    def joint(self, low, high):
+        """coupling.strassen_joint(low, high) on the two filling lists as
+        tuples, memoised by their content (the blocks of a vertex-
+        transitive graph give equal lists) up to JOINT_MEMO_ENTRIES
+        support entries in all, least recently used out first.  The
+        builder is read from coupling, which imports this module."""
         key = (tuple(low), tuple(high))
         joint = self._joints.get(key)
         if joint is not None:
             self._joints.move_to_end(key)
             return joint
-        joint = self._joints[key] = build(*key)
+        from . import coupling
+        joint = self._joints[key] = coupling.strassen_joint(*key)
         self._joint_entries += len(joint)
         while self._joint_entries > JOINT_MEMO_ENTRIES:
             self._joint_entries -= len(self._joints.popitem(last=False)[1])
@@ -323,26 +325,14 @@ def step_block(state: ChainState, sampler: BlockSampler,
     return state
 
 
-def run(state: ChainState, steps: int, stepper=step_updown,
-        emit_every: int = 0):
-    """Iterate the chain; optionally yield intermediate states.
-
-    stepper(state, m) makes m steps; it is called once per stretch up to
-    the next snapshot.  With emit_every > 0, returns a list of (step,
-    KHeight) snapshots (including the final state); otherwise returns
-    the state.
-    """
+def run(state: ChainState, steps: int, stepper, emit_every: int):
+    """Make `steps` steps in stretches of emit_every >= 1, each one
+    stepper(state, m) call; return the (step, KHeight) after each."""
     snaps = []
-    every = emit_every or steps or 1
-    for done in range(0, steps, every):
-        stepper(state, min(every, steps - done))
-        if emit_every and done + every <= steps:
-            snaps.append((state.step_count, state.current))
-    if emit_every:
-        if not snaps or snaps[-1][0] != state.step_count:
-            snaps.append((state.step_count, state.current))
-        return snaps
-    return state
+    for done in range(0, steps, emit_every):
+        stepper(state, min(emit_every, steps - done))
+        snaps.append((state.step_count, state.current))
+    return snaps
 
 
 # ---------------------------------------------------------------------------

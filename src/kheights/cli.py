@@ -125,14 +125,13 @@ def _golden_row(table_id: str, rep) -> tuple | None:
 
 
 def cmd_tables(args) -> int:
-    cases = None
     if args.case:
         tag = parse_case(args.case)
-        cases = ([(tag.d, tag.neighbor_labels)] if tag.kind == "type1"
-                 else [tag.neighbor_labels])
         if args.id != tag.kind:  # the table ids of cases are their kinds
             raise ValueError(f"case {args.case} belongs to table {tag.kind}")
-    reports = reproduce_table(args.id, args.k, cases=cases)
+        reports = [case_divergence(tag, args.k)]
+    else:
+        reports = reproduce_table(args.id, args.k)
     lines = ["# " + json.dumps(_provenance()),
              "k,case,omega_block,omega_boundary,e_max"]
     mismatches = []
@@ -159,8 +158,7 @@ def cmd_divergence(args) -> int:
     if args.case is not None:
         rep = case_divergence(parse_case(args.case), args.k)
     else:
-        reps = reproduce_table(args.family, args.k)
-        rep = reps[0]
+        [rep] = reproduce_table(args.family, args.k)
     doc = {
         "provenance": _provenance(),
         "k": rep.k,
@@ -230,8 +228,7 @@ def cmd_run(args) -> int:
     lines = [json.dumps({"provenance": _provenance(args.seed, graph),
                          "k": args.k, "chain": args.chain})]
     if args.steps > 0:
-        snaps = run(state, args.steps, stepper,
-                    emit_every=args.emit_every or args.steps)
+        snaps = run(state, args.steps, stepper, args.emit_every or args.steps)
         lines += [json.dumps({"step": step, "values": list(h.values)})
                   for step, h in snaps]
     _write(args.out, "\n".join(lines) + "\n")

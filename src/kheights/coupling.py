@@ -249,7 +249,7 @@ class CoupledState:
     KHeights and checks low <= high once."""
 
     def __init__(self, low: KHeight, high: KHeight,
-                 rng: np.random.Generator, step_count: int = 0):
+                 rng: np.random.Generator):
         if not (low <= high):
             raise ValueError("coupled state must satisfy low <= high")
         self.graph = low.graph
@@ -257,7 +257,7 @@ class CoupledState:
         self.low = list(low.values)
         self.high = list(high.values)
         self.rng = rng
-        self.step_count = step_count
+        self.step_count = 0
 
     @property
     def coalesced(self) -> bool:
@@ -334,11 +334,9 @@ def coupled_block_step(coupled: CoupledState,
     fillings = [sampler.fillings_for(b, z) for z in chain]
     f = f_low = fillings[0][int(rng.integers(len(fillings[0])))]
     for i in range(1, len(chain)):
-        if fillings[i] == fillings[i - 1]:
-            pass  # identical boundary constraints: reuse the filling
-        else:
-            joint = sampler.joint(fillings[i - 1], fillings[i],
-                                  strassen_joint)
+        # equal filling lists (identical constraints) reuse the filling
+        if fillings[i] != fillings[i - 1]:
+            joint = sampler.joint(fillings[i - 1], fillings[i])
             f = conditional_high_draw(
                 joint, f, int(rng.integers(len(fillings[i]))))
     sampler.apply(coupled.low, b, f_low)

@@ -50,8 +50,8 @@ class DivergenceReport:
     e_max: Fraction
     witness: tuple[BoundaryConstraint, int] | None  # (low constraint, pivot)
 
-    def e_max_rounded(self, digits: int = 6) -> float:
-        return round_half_even(self.e_max, digits)
+    def e_max_rounded(self) -> float:
+        return round_half_even(self.e_max, 6)
 
 
 def round_half_even(x: Fraction, digits: int = 6) -> float:

@@ -25,13 +25,7 @@ from .graphs import (  # noqa: F401  (EnumerationCapError re-exported)
     Graph,
     boundary,
 )
-from .heights import (  # noqa: F401  (re-exported counting entry points)
-    BoundaryConstraint,
-    assignments,
-    earlier_neighbours,
-    enumerate_cover_pairs,
-    enumerate_heights,
-)
+from .heights import BoundaryConstraint, assignments, earlier_neighbours
 
 #: raw-assignment cap for brute-force fallbacks
 ENUMERATION_CAP = 1 << 26

@@ -53,6 +53,8 @@ class Graph:
     dims: tuple[int, int] | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise GraphError("a graph needs at least one vertex")
         for u, v in self.edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
@@ -227,8 +229,6 @@ def make_toroidal_hex(g: int, h: int) -> Graph:
 
 
 def make_complete(n: int) -> Graph:
-    if n < 1:
-        raise GraphError("need n >= 1")
     return Graph.from_edges(
         n, [(u, v) for u in range(n) for v in range(u + 1, n)], kind="complete"
     )

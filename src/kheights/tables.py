@@ -58,15 +58,15 @@ FRONTIER_WORK_CAP = 1 << 42
 
 #: tensors of the largest size that _check_frontier works out which a
 #: _case_stats call holds at once, per case kind, from its traced peak
-#: (tracemalloc): 7.0 to 7.04 for the type-1 cases whose tensors come
-#: near the cap (hex among them); 1_3[1,2] and 1_4[1,2,3] reach 12, but
-#: their largest tensor is only K x K, below 2^20 entries wherever
-#: FRONTIER_WORK_CAP accepts them.  Type-2 cases, every one of at least
-#: 1 MiB a tensor at k=3..6, peak at 2.14 to 2.25 without label 8 and
-#: at 3.00 to 3.04 with it (2[1,8] 3.035 at k=3 and 3.001 at k=5,
-#: 2[1,2,8] 3.024 at k=4 and 3.002 at k=6).  The rect slices are
-#: bounded by RECT_SLICE_CAP alone: eight tensors of 2^22 entries stay
-#: within ENUMERATION_CAP.
+#: (tracemalloc): 5.0 to 5.04 for the type-1 cases whose tensors come
+#: near the cap (hex among them), charged 8 so that no first refused
+#: size moves; 1_3[1,2] and 1_4[1,2,3] reach 10.5, but their largest
+#: tensor is only K x K, below 2^20 entries wherever FRONTIER_WORK_CAP
+#: accepts them.  Type-2 cases, every one of at least 1 MiB a tensor at
+#: k=3..6, peak at 2.14 to 2.25 without label 8 and at 3.00 to 3.04 with
+#: it (2[1,8] 3.035 at k=3 and 3.001 at k=5, 2[1,2,8] 3.024 at k=4 and
+#: 3.002 at k=6).  The rect slices are bounded by RECT_SLICE_CAP alone:
+#: eight tensors of 2^22 entries stay within ENUMERATION_CAP.
 FRONTIER_LIVE_TENSORS = {"type1": 8, "type2": 4}
 
 
@@ -185,11 +185,16 @@ def _case_stats(tag: CaseTag, k: int):
     # each: a size-1 axis pins vertex 0 to f and vertex d-1 within 1 of
     # it.  The passes count each filling once, so their sum stays below
     # the bound that _frontier_dp checks for one pass.
-    I, cnt, wgt = np.eye(K, dtype=np.int64), 0, 0
+    I = np.eye(K, dtype=np.int64)
     for f in range(K):
         first = (1, {0: I[f:f + 1], d - 1: P[f:f + 1]})
         c, w = _frontier_dp(P, np.arange(K), d, axes + [first])
-        cnt, wgt = cnt + c[..., 0], wgt + w[..., 0]
+        if f:
+            cnt += c[..., 0]
+            wgt += w[..., 0]
+        else:
+            cnt, wgt = c[..., 0], w[..., 0]
+        del c, w  # not held through the next pass
     return cnt, wgt
 
 
@@ -207,16 +212,29 @@ def maximize_gap(pairs):
     Returns (Fraction, key, index tuple); ties resolve to the smallest
     (index, key).  Raises ValueError when no index of any pair is
     extensible.
+
+    With M the largest |w/c| of positive count (a zero count has zero
+    weight, and fmax and fmin skip its 0/0), a float gap is off by at
+    most 2 spacing(M), so the exact maximum's float gap is within
+    4 spacing(M) of the float maximum; it raises EnumerationCapError
+    unless the margin covers twice that.  A table's mean weights are at
+    most (block vertices) * k: M <= 96 for rect (k <= 6) and 2210 for
+    the cases (k <= 221).
     """
     def floor(best):
         return best - _PREFILTER_MARGIN * max(1.0, abs(best))
 
-    best_f = -np.inf
+    best_f, M = -np.inf, 0.0
     kept = []  # (key, flat indices, float gaps, entries) above the floor
     for key, (c1, w1), (c2, w2) in pairs:
         shape = np.shape(c1)
         with np.errstate(divide="ignore", invalid="ignore"):
-            gap = np.where((c1 > 0) & (c2 > 0), w2 / c2 - w1 / c1, -np.inf)
+            gap, low = w2 / c2, w1 / c1
+            M = max(M, *(abs(f.reduce(q, axis=None, initial=0.0))
+                         for q in (gap, low) for f in (np.fmax, np.fmin)))
+            gap -= low
+        del low
+        gap = np.where((c1 > 0) & (c2 > 0), gap, -np.inf)
         mx = gap.max()
         best_f = max(best_f, mx)
         if mx > -np.inf and mx >= floor(best_f):
@@ -226,6 +244,9 @@ def maximize_gap(pairs):
         del gap, c1, w1, c2, w2  # hold nothing while the next pair is made
     if best_f == -np.inf:
         raise ValueError("no extensible cover pair")
+    if _PREFILTER_MARGIN * max(1.0, abs(best_f)) <= 8 * np.spacing(M):
+        raise EnumerationCapError(f"mean weights up to {M:.6g} leave "
+                                  "the float prefilter no margin")
     # the floor only rises, so the survivors of the final floor are
     # exactly the entries a pass over all gap arrays at once would keep.
     # Flat (C-order) indices compare like index tuples.  The entries are
@@ -294,21 +315,18 @@ def type2_cases() -> list[tuple[int, ...]]:
     return sorted({labels for (_k, labels) in _golden.TYPE2_ROWS})
 
 
-def reproduce_table(table_id: str, k: int,
-                    cases=None) -> list[DivergenceReport]:
+def reproduce_table(table_id: str, k: int) -> list[DivergenceReport]:
     """Compute one table's rows: table_id in {rect, hex, type1, type2}."""
     if table_id == "hex":
         return [hex_divergence(k)]
     if table_id == "rect":
         return [rect_divergence(k)]
     if table_id == "type1":
-        rows = cases if cases is not None else type1_cases()
         return [case_divergence(CaseTag("type1", labels, d), k)
-                for d, labels in rows]
+                for d, labels in type1_cases()]
     if table_id == "type2":
-        rows = cases if cases is not None else type2_cases()
         return [case_divergence(CaseTag("type2", labels), k)
-                for labels in rows]
+                for labels in type2_cases()]
     raise ValueError(f"unknown table id {table_id!r}")
 
 

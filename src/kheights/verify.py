@@ -13,13 +13,9 @@ from fractions import Fraction
 from .chains import updown_result
 from .coupling import cftp_sample, expected_coupled_updown_distance, strassen_joint
 from .divergence import expected_gap
-from .enumeration import (
-    count_rect_extensible,
-    enumerate_fillings,
-    enumerate_heights,
-)
+from .enumeration import count_rect_extensible, enumerate_fillings
 from .graphs import CaseTag, Graph, boundary, make_case_graph
-from .heights import BoundaryConstraint, KHeight
+from .heights import BoundaryConstraint, KHeight, enumerate_heights
 from .tables import hex_divergence
 
 

@@ -126,15 +126,15 @@ def test_updown_apply_matches_successive_updown_result(data):
 
 
 def test_chain_determinism(path3):
-    a = run(make_chain(path3, 2, seed=42), 500)
-    b = run(make_chain(path3, 2, seed=42), 500)
+    a = step_updown(make_chain(path3, 2, seed=42), 500)
+    b = step_updown(make_chain(path3, 2, seed=42), 500)
     assert a.current.values == b.current.values
-    c = run(make_chain(path3, 2, seed=43), 500)
+    c = step_updown(make_chain(path3, 2, seed=43), 500)
     assert a.step_count == c.step_count == 500
 
 
 def test_run_snapshots(path3):
-    snaps = run(make_chain(path3, 2, seed=1), 10, emit_every=4)
+    snaps = run(make_chain(path3, 2, seed=1), 10, step_updown, 4)
     assert [s for s, _ in snaps] == [4, 8, 10]
     assert all(is_valid(path3, h.values, 2) for _, h in snaps)
 
@@ -263,10 +263,11 @@ def test_run_steps_in_stretches_between_snapshots(path3):
         calls.append(m)
         step_updown(state, m)
 
-    snaps = run(make_chain(path3, 2, seed=1), 10, stepper, emit_every=4)
+    snaps = run(make_chain(path3, 2, seed=1), 10, stepper, 4)
     assert calls == [4, 4, 2]
     assert [s for s, _ in snaps] == [4, 8, 10]
-    assert run(make_chain(path3, 2, seed=1), 0).step_count == 0
+    assert run(make_chain(path3, 2, seed=1), 0, stepper, 4) == []
+    assert calls == [4, 4, 2]
 
 
 def test_block_sampler_uniform_fillings(path3):
@@ -298,7 +299,7 @@ def test_empirical_matches_matrix(path3):
     st = make_chain(path3, 2, seed=11)
     burn = 200
     n = 40000
-    run(st, burn)
+    step_updown(st, burn)
     for _ in range(n):
         step_updown(st)
         counts[st.current.values] += 1

@@ -99,7 +99,7 @@ def test_tables_work_cap_exit_before_allocating():
 
 def test_tables_live_tensor_cap_exit_before_allocating():
     # hex k=14 is the first k whose 15^6-entry frontier, charged
-    # FRONTIER_LIVE_TENSORS times (its traced peak is ~7 such tensors),
+    # FRONTIER_LIVE_TENSORS times (its traced peak is ~5 such tensors),
     # passes ENUMERATION_CAP; it is refused before anything is built
     live = tables.FRONTIER_LIVE_TENSORS["type1"]
     assert live * 14 ** 6 <= ENUMERATION_CAP < live * 15 ** 6
@@ -504,6 +504,36 @@ def test_malformed_graph_json_exits_3(tmp_path, graph):
     f.write_text(json.dumps(graph))
     assert main(["run", "--chain", "updown", "--graph", str(f), "--k", "1",
                  "--steps", "1", "--seed", "0"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["sample", "--n", "1"],
+    ["run", "--chain", "updown", "--steps", "5"],
+    ["run", "--chain", "block", "--steps", "5"],
+    ["couple-time", "--chain", "updown", "--trials", "1"],
+    ["couple-time", "--chain", "block", "--trials", "1"],
+], ids=["sample", "run-updown", "run-block", "couple-time-updown",
+        "couple-time-block"])
+@pytest.mark.parametrize("source", ["path", "complete", "json"])
+def test_graph_without_vertices_exits_3(tmp_path, capsys, argv, source):
+    spec = f"{source}:0"
+    if source == "json":
+        spec = str(tmp_path / "g.json")
+        Path(spec).write_text(json.dumps({"n": 0, "edges": []}))
+    assert main(argv + ["--graph", spec, "--k", "2", "--seed", "0"]) == 3
+    err = capsys.readouterr().err
+    assert "a graph needs at least one vertex" in err
+    assert "high <" not in err
+
+
+def test_heatmap_of_a_graph_without_vertices_exits_3(tmp_path, capsys):
+    f = tmp_path / "height.json"
+    f.write_text(json.dumps({"graph": {"n": 0, "edges": []}, "k": 2,
+                             "values": []}))
+    assert main(["heatmap", "--height", str(f),
+                 "--out", str(tmp_path / "x.svg")]) == 3
+    assert "a graph needs at least one vertex" in capsys.readouterr().err
+    assert not (tmp_path / "x.svg").exists()
 
 
 _RECT3 = make_toroidal_rect(3, 3).to_json_dict()

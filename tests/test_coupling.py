@@ -351,9 +351,11 @@ def test_joint_memo_evicts_least_recently_used(monkeypatch):
         built.append(len(low))
         return strassen_joint(low, high)
 
+    monkeypatch.setattr(coupling, "strassen_joint", build)
+
     def joint(n):
         fillings = [(i,) for i in range(n)]
-        return sampler.joint(fillings, list(fillings), build)
+        return sampler.joint(fillings, list(fillings))
 
     assert len(joint(1)) == 1 and len(joint(2)) == 2
     joint(1)  # equal content, new lists: a hit that makes 1 the newest

@@ -226,6 +226,16 @@ def test_maximize_gap_keeps_no_array_references(pairs):
     assert maximize_gap(reused()) == want
 
 
+def test_maximize_gap_refuses_quotients_past_the_prefilter_margin():
+    # mean weights near 2^45 are 2^-7 apart as floats, far coarser than
+    # the margin of 1e-9 below a gap of 1
+    big = float(2 ** 45)
+    low = (np.array([1.0]), np.array([big]))
+    high = (np.array([1.0]), np.array([big + 1]))
+    with pytest.raises(EnumerationCapError, match="prefilter"):
+        maximize_gap(iter([(0, low, high)]))
+
+
 #: sha256 over (k, case id, exact e_max, witness) of every row below, in
 #: this order; recorded before the tensor engines were merged into one
 TABLE_INPUTS = ([("type1", k) for k in (2, 3)] + [("type2", k) for k in (2, 3)]
@@ -397,6 +407,20 @@ def test_rect_divergence_memory_is_a_few_slices():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2 ** 20
+
+
+def test_type1_case_sums_its_passes_in_place():
+    # 1_10[1] at k=3 is the largest case of an exact_tables pass: its
+    # passes' sums reuse the first pass's arrays, ~5 tensors of 4^10
+    # entries at the peak (40 MiB) where a copy of them made ~7 (56 MiB)
+    case_divergence.cache_clear()  # compute, not recall
+    tracemalloc.start()
+    try:
+        case_divergence(CaseTag("type1", (1,), 10), 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 44 * 2 ** 20
 
 
 def test_rect_slice_cap():
