@@ -327,12 +327,10 @@ def step_block(state: ChainState, sampler: BlockSampler,
 
 def run(state: ChainState, steps: int, stepper, emit_every: int):
     """Make `steps` steps in stretches of emit_every >= 1, each one
-    stepper(state, m) call; return the (step, KHeight) after each."""
-    snaps = []
+    stepper(state, m) call; yield the (step, KHeight) after each."""
     for done in range(0, steps, emit_every):
         stepper(state, min(emit_every, steps - done))
-        snaps.append((state.step_count, state.current))
-    return snaps
+        yield state.step_count, state.current
 
 
 # ---------------------------------------------------------------------------

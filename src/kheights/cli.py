@@ -12,6 +12,7 @@ import argparse
 import json
 import re
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import cache
 
@@ -99,12 +100,19 @@ def _block_family(graph: Graph):
     return singleton_family(graph)
 
 
-def _write(out, text: str):
+@contextmanager
+def _opened(out):
+    """The file `out` opened for writing, or stdout if out is None."""
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write(out, text: str):
+    with _opened(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -225,13 +233,15 @@ def cmd_run(args) -> int:
     if args.chain == "block":
         sampler = BlockSampler(graph, _block_family(graph), args.k)
         stepper = lambda st, m: step_block(st, sampler, m)  # noqa: E731
-    lines = [json.dumps({"provenance": _provenance(args.seed, graph),
-                         "k": args.k, "chain": args.chain})]
-    if args.steps > 0:
-        snaps = run(state, args.steps, stepper, args.emit_every or args.steps)
-        lines += [json.dumps({"step": step, "values": list(h.values)})
-                  for step, h in snaps]
-    _write(args.out, "\n".join(lines) + "\n")
+    with _opened(args.out) as fh:
+        fh.write(json.dumps({"provenance": _provenance(args.seed, graph),
+                             "k": args.k, "chain": args.chain}) + "\n")
+        if args.steps > 0:
+            # one line per snapshot as it is made: none is held
+            for step, h in run(state, args.steps, stepper,
+                               args.emit_every or args.steps):
+                fh.write(json.dumps({"step": step,
+                                     "values": list(h.values)}) + "\n")
     return EXIT_OK
 
 
@@ -260,9 +270,8 @@ def cmd_sample(args) -> int:
 def cmd_couple_time(args) -> int:
     graph = parse_graph(args.graph)
     family = _block_family(graph) if args.chain == "block" else None
-    est = coupling_time_estimate(graph, args.k, mode=args.chain,
-                                 trials=args.trials, seed=args.seed,
-                                 family=family)
+    est = coupling_time_estimate(graph, args.k, trials=args.trials,
+                                 seed=args.seed, family=family)
     lines = ["# " + json.dumps(_provenance(args.seed, graph)),
              "trial,steps"]
     lines += [f"{i},{t}" for i, t in enumerate(est["times"])]

@@ -512,18 +512,14 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
 # empirical coalescence times
 
 
-def coupling_time_estimate(graph: Graph, k: int, mode: str = "updown",
-                           trials: int = 100, seed: int = 0,
-                           family=None) -> dict:
+def coupling_time_estimate(graph: Graph, k: int, trials: int = 100,
+                           seed: int = 0, family=None) -> dict:
     """Coalescence-time statistics of the monotone coupling started from
-    (bottom, top).  Deterministic given the seed.  Raises
+    (bottom, top): of the block chain on `family` if one is given, else
+    of the up/down chain.  Deterministic given the seed.  Raises
     EnumerationCapError when a trial reaches COALESCENCE_MAX_STEPS."""
     times = []
-    sampler = None
-    if mode == "block":
-        if family is None:
-            raise ValueError("block mode needs a block family")
-        sampler = BlockSampler(graph, family, k)
+    sampler = None if family is None else BlockSampler(graph, family, k)
     for t in range(trials):
         coupled = CoupledState(
             low=KHeight.constant(graph, k, 0),
@@ -536,7 +532,7 @@ def coupling_time_estimate(graph: Graph, k: int, mode: str = "updown",
             if left <= 0:
                 raise EnumerationCapError(f"no coalescence within "
                                           f"{COALESCENCE_MAX_STEPS} steps")
-            if mode == "updown":
+            if sampler is None:
                 coupled_updown_step(coupled, left)
             else:
                 coupled_block_step(coupled, sampler)

@@ -96,26 +96,40 @@ class Graph:
     @classmethod
     def from_json_dict(cls, d) -> "Graph":
         """The graph of a to_json_dict record.  GraphError unless n is a
-        non-negative integer, the edges integer pairs and dims, if
-        given, a pair of positive integers; EnumerationCapError, before
+        non-negative integer, the edges integer pairs and kind, if
+        given, a string; a record of kind rect or hex must give dims, a
+        pair of integers, and equal the make_toroidal_rect or
+        make_toroidal_hex grid of those dims in n and edges, and no
+        other record may give dims.  EnumerationCapError, before
         building it, past GRAPH_MAX_SIZE."""
         if not isinstance(d, dict):
             raise GraphError("a graph record must be a JSON object")
         n, edges, dims = d["n"], d["edges"], d.get("dims")
+        kind = d.get("kind")
         if not (type(n) is int and n >= 0):
             raise GraphError(f"n must be a non-negative integer, got {n!r}")
         if not (isinstance(edges, list) and all(
                 isinstance(e, list) and len(e) == 2
                 and all(type(u) is int for u in e) for e in edges)):
             raise GraphError("edges must be a list of integer pairs")
-        if dims and not (isinstance(dims, list) and len(dims) == 2 and all(
-                type(x) is int and x > 0 for x in dims)):
-            raise GraphError(f"dims must be two positive integers, "
+        if not (kind is None or isinstance(kind, str)):
+            raise GraphError(f"kind must be a string, got {kind!r}")
+        grid = {"rect": make_toroidal_rect, "hex": make_toroidal_hex}.get(kind)
+        if grid is None and dims:
+            raise GraphError(f"dims go with kind rect or hex, not {kind!r}")
+        if grid and not (isinstance(dims, list) and len(dims) == 2
+                         and all(type(x) is int for x in dims)):
+            raise GraphError(f"a {kind} grid needs dims, two integers, "
                              f"got {dims!r}")
         check_graph_size(n, len(edges))
-        return cls.from_edges(n, [tuple(e) for e in edges],
-                              kind=d.get("kind"),
-                              dims=tuple(dims) if dims else None)
+        graph = cls.from_edges(n, [tuple(e) for e in edges], kind=kind,
+                               dims=tuple(dims) if grid else None)
+        if grid:
+            g, h = dims
+            # n first: it bounds the grid that is built to compare with
+            if n != g * h * (2 if kind == "hex" else 1) or grid(g, h) != graph:
+                raise GraphError(f"the record is not the {kind} grid {g}x{h}")
+        return graph
 
     def content_hash(self) -> str:
         """Hash of n and the edges only (kind and dims are left out)."""

@@ -42,22 +42,18 @@ from .heights import BoundaryConstraint, enumerate_heights
 # are re-checked exactly
 _PREFILTER_MARGIN = 1e-9
 
-#: entries of one (t, t, t) float64 rect slice above which
-#: rect_stat_tensors refuses to compute (2^22 entries = 32 MiB a tensor);
-#: k=6 needs 149^3 = 3.3e6, k=7 already 176^3 = 5.5e6
-RECT_SLICE_CAP = 1 << 22
-
-#: multiply-adds a catalogue case may spend on all its passes together
-#: (_case_stats checks before it builds anything).  The rate runs from
-#: ~1.5e9 a second (d=7 cycles, k=19) to ~2.2e10 (d=3, k=925) on a
-#: 2-core x86 box, so 2^42 = 4.4e12 is three minutes or more.  Every
-#: case within the entry cap and the 2^53 bound up to k=221 fits; hex
-#: k=13, the last k the entry cap accepts, spends 6.1e9.  The rect table
-#: is bounded per slice by RECT_SLICE_CAP.
+#: multiply-adds a table may spend on all its passes together
+#: (_case_stats and rect_stat_tensors check before they build
+#: anything).  The rate runs from ~1.5e9 a second (d=7 cycles, k=19) to
+#: ~2.2e10 (d=3, k=925) on a 2-core x86 box, so 2^42 = 4.4e12 is three
+#: minutes or more.  Every case within the entry cap and the 2^53 bound
+#: up to k=221 fits; hex k=13, the last k the entry cap accepts, spends
+#: 6.1e9, and the rect table's 8t^5 is only 1.4e12 at k=7, which the
+#: entry cap already refuses.
 FRONTIER_WORK_CAP = 1 << 42
 
 #: tensors of the largest size that _check_frontier works out which a
-#: _case_stats call holds at once, per case kind, from its traced peak
+#: table holds at once, per case kind or rect, from its traced peak
 #: (tracemalloc): 5.0 to 5.04 for the type-1 cases whose tensors come
 #: near the cap (hex among them), charged 8 so that no first refused
 #: size moves; 1_3[1,2] and 1_4[1,2,3] reach 10.5, but their largest
@@ -65,9 +61,9 @@ FRONTIER_WORK_CAP = 1 << 42
 #: accepts them.  Type-2 cases, every one of at least 1 MiB a tensor at
 #: k=3..6, peak at 2.14 to 2.25 without label 8 and at 3.00 to 3.04 with
 #: it (2[1,8] 3.035 at k=3 and 3.001 at k=5, 2[1,2,8] 3.024 at k=4 and
-#: 3.002 at k=6).  The rect slices are bounded by RECT_SLICE_CAP alone:
-#: eight tensors of 2^22 entries stay within ENUMERATION_CAP.
-FRONTIER_LIVE_TENSORS = {"type1": 8, "type2": 4}
+#: 3.002 at k=6).  rect_max peaks at 8.41, 8.27 and 8.22 tensors of t^3
+#: entries at k=2, 3 and 4, charged 16: k=6 (t=149) runs, k=7 (t=176) not.
+FRONTIER_LIVE_TENSORS = {"type1": 8, "type2": 4, "rect": 16}
 
 
 def _check_frontier(S: int, layers: int, axes, passes: int,
@@ -112,7 +108,7 @@ def _frontier_dp(T, weight, layers: int, axes):
     joins the frontier at its first mask, or, if masked at the last layer
     only, is contracted with that layer by one matmul.  Raises
     EnumerationCapError when an entry could reach 2^53; its size and
-    work are the caller's to bound (_check_frontier, RECT_SLICE_CAP).
+    work are the caller's to bound (_check_frontier).
     """
     S, last = len(weight), layers - 1
     sizes = [size for size, _ in axes]
@@ -344,16 +340,17 @@ def rect_stat_tensors(k: int):
     Each slice is one _frontier_dp call over the four block rows, with
     the top path as a size-1 axis, so the entries are exact (that call
     checks their bound against 2^53); nothing is kept between calls.
-    Raises EnumerationCapError, before computing anything, when one
-    slice would hold more than RECT_SLICE_CAP entries.
+    Raises EnumerationCapError, before listing a row, when _check_frontier
+    refuses its t slices, one per top path.
     """
+    # t, the number of valid 4-rows (4 values in 0..k, neighbours within
+    # 1), is 1 at k=0, 16 at k=1 and 27k - 13 from k=2 on
+    t = [1, 16][k] if k < 2 else 27 * k - 13
+    _check_frontier(t, 4, [(1, [0]), (t, range(4)), (t, range(4)), (t, [3])],
+                    t, "rect")
     # the valid 4-rows are the k-heights of a 4-vertex path
     rows = np.array(list(enumerate_heights(
         Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), k)))
-    t = len(rows)
-    if t ** 3 > RECT_SLICE_CAP:
-        raise EnumerationCapError(f"rect slices of {t}^3 entries exceed "
-                                  f"the cap {RECT_SLICE_CAP}")
     # V[s, r]: row r may sit below row s; pointwise |s_j - r_j| <= 1 is
     # also how the top and bottom boundary paths pin the outer rows
     V = step_matrix(rows, dtype=np.int64)

@@ -134,7 +134,7 @@ def test_chain_determinism(path3):
 
 
 def test_run_snapshots(path3):
-    snaps = run(make_chain(path3, 2, seed=1), 10, step_updown, 4)
+    snaps = list(run(make_chain(path3, 2, seed=1), 10, step_updown, 4))
     assert [s for s, _ in snaps] == [4, 8, 10]
     assert all(is_valid(path3, h.values, 2) for _, h in snaps)
 
@@ -263,10 +263,10 @@ def test_run_steps_in_stretches_between_snapshots(path3):
         calls.append(m)
         step_updown(state, m)
 
-    snaps = run(make_chain(path3, 2, seed=1), 10, stepper, 4)
+    snaps = list(run(make_chain(path3, 2, seed=1), 10, stepper, 4))
     assert calls == [4, 4, 2]
     assert [s for s, _ in snaps] == [4, 8, 10]
-    assert run(make_chain(path3, 2, seed=1), 0, stepper, 4) == []
+    assert list(run(make_chain(path3, 2, seed=1), 0, stepper, 4)) == []
     assert calls == [4, 4, 2]
 
 

@@ -77,9 +77,36 @@ def test_tables_cap_exit():
     # hex k=20 carries a 21^6-entry frontier per first value, past
     # ENUMERATION_CAP even as one tensor
     assert main(["tables", "--id", "hex", "--k", "20"]) == 4
-    # one rect slice at k=7 has 176^3 entries, past RECT_SLICE_CAP:
-    # refused before any slice is computed
+    # the rect slices at k=7 have 176^3 entries, charged
+    # FRONTIER_LIVE_TENSORS["rect"] times by _check_frontier: refused
+    # before any row is listed
     assert main(["tables", "--id", "rect", "--k", "7"]) == 4
+
+
+def test_rect_live_tensor_charge(capsys):
+    # rect_max peaks at ~8.3 tensors of t^3 entries and is charged 16:
+    # k=6 (t=149) runs and k=7 (t=176) is the first refused k
+    live = tables.FRONTIER_LIVE_TENSORS["rect"]
+    assert live * 149 ** 3 <= ENUMERATION_CAP < live * 176 ** 3
+    assert main(["divergence", "--family", "rect", "--k", "7"]) == 4
+    assert f"{live} frontier tensors of {176 ** 3} entries" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [["tables", "--id", "rect"],
+                                  ["bound", "--family", "rect"],
+                                  ["divergence", "--family", "rect"]])
+def test_rect_cap_exit_before_listing_rows(argv):
+    # k=3,000,000 has 8.1e7 valid 4-rows; their slices are refused from
+    # the closed-form row count before one row is listed
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--k", "3000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 2 ** 20
 
 
 def test_tables_work_cap_exit_before_allocating():
@@ -356,6 +383,26 @@ def test_run_command_jsonl(tmp_path):
     assert [s["step"] for s in steps] == [10, 20, 30]
 
 
+def test_run_streams_its_lines(tmp_path):
+    # each snapshot is written as it is made, so the traced peak of a
+    # run does not grow with its step count
+    peaks = []
+    for steps in (400, 3200):
+        out = tmp_path / f"{steps}.jsonl"
+        tracemalloc.start()
+        try:
+            code = main(["run", "--chain", "updown", "--graph", "rect:8x8",
+                         "--k", "3", "--steps", str(steps), "--seed", "0",
+                         "--emit-every", "1", "--out", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert len(out.read_text().splitlines()) == steps + 1
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 2 ** 16
+
+
 def test_run_reproducible(tmp_path):
     outs = []
     for name in ("a", "b"):
@@ -537,6 +584,33 @@ def test_heatmap_of_a_graph_without_vertices_exits_3(tmp_path, capsys):
 
 
 _RECT3 = make_toroidal_rect(3, 3).to_json_dict()
+
+
+@pytest.mark.parametrize("graph", [
+    {"n": 64, "edges": [], "kind": "rect"},  # a grid without dims
+    {"n": 64, "edges": [], "kind": "rect", "dims": [8, 8]},  # no edges
+    {"n": 4, "edges": [], "kind": "rect", "dims": [1, 10 ** 9]},
+    {"n": 4, "edges": [], "dims": [1, 10 ** 9]},  # dims without a grid
+    {**make_toroidal_rect(8, 8).to_json_dict(), "kind": "hex"},
+])
+@pytest.mark.parametrize("argv", [
+    ["run", "--chain", "block", "--k", "2", "--steps", "5", "--seed", "0"],
+    ["couple-time", "--chain", "block", "--k", "2", "--trials", "1"],
+    ["heatmap"],
+], ids=["run", "couple-time", "heatmap"])
+def test_graph_kind_and_dims_checked_against_edges(tmp_path, capsys, argv,
+                                                   graph):
+    f = tmp_path / "in.json"
+    if argv == ["heatmap"]:
+        f.write_text(json.dumps({"graph": graph, "k": 1,
+                                 "values": [0] * graph["n"]}))
+        argv = ["heatmap", "--height", str(f),
+                "--out", str(tmp_path / "x.ppm")]
+    else:
+        f.write_text(json.dumps(graph))
+        argv = argv + ["--graph", str(f)]
+    assert main(argv) == 3
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("doc", [

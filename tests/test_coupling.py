@@ -444,7 +444,7 @@ def test_block_coalescence_validates_only_the_start_heights(monkeypatch):
 
     monkeypatch.setattr(heights, "is_valid", counted)
     g = make_toroidal_hex(4, 4)
-    coupling_time_estimate(g, 2, mode="block", trials=1, seed=0,
+    coupling_time_estimate(g, 2, trials=1, seed=0,
                            family=hex_block_family(g))
     assert len(calls) <= 2
 

@@ -424,11 +424,35 @@ def test_type1_case_sums_its_passes_in_place():
 
 
 def test_rect_slice_cap():
-    # k=6 (t=149) is the last k whose slices fit RECT_SLICE_CAP; neither
-    # call computes a slice
+    # k=6 (t=149) is the last k whose slices _check_frontier admits;
+    # neither call computes a slice
     assert len(rect_stat_tensors(6)[0]) == 149
     with pytest.raises(EnumerationCapError):
         rect_stat_tensors(7)
+
+
+def test_rect_charges_its_slices_before_listing_a_row(monkeypatch):
+    # rect_stat_tensors makes one _check_frontier call, before it lists
+    # the rows, with the closed-form row count t
+    listed, charged = [], []
+    enumerate_heights = tables.enumerate_heights
+
+    def listing(*args):
+        listed.append(args)
+        return enumerate_heights(*args)
+
+    def charge(*args):
+        charged.append((args, len(listed)))
+
+    monkeypatch.setattr(tables, "enumerate_heights", listing)
+    monkeypatch.setattr(tables, "_check_frontier", charge)
+    for k in range(13):
+        listed.clear()
+        charged.clear()
+        t = len(rect_stat_tensors(k)[0])
+        axes = [(1, [0]), (t, range(4)), (t, range(4)), (t, [3])]
+        assert charged == [((t, 4, axes, t, "rect"), 0)]
+        assert len(listed) == 1
 
 
 def _brute_frontier(T, weight, layers, axes):
