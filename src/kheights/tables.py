@@ -5,9 +5,12 @@ boundary slots) and for 4x4 grid blocks.
 One frontier DP (_frontier_dp) computes, for every assignment of the
 boundary vertices, the exact (count, total weight) of admissible
 fillings: the states are values for a case and valid 4-rows for the
-grid, and each boundary vertex is an axis that joins the tensor where
-it pins the block.  It runs in float64 and refuses (EnumerationCapError)
-any input whose entries it cannot bound below 2^53.  The outermost
+grid.  Each boundary vertex of a case, and the top and bottom boundary
+paths of the grid, is an axis that joins the tensor where it pins the
+block; the grid's left and right paths are sequence axes, whose
+prefixes grow by one cell per block row.  It runs in float64 and
+refuses (EnumerationCapError) any input whose entries it cannot bound
+below 2^53.  The outermost
 boundary axis is streamed: a type-1 cycle runs one pass per value of its
 first vertex, and the 4x4 grid one (t, t, t) slice per top boundary
 path of cell sum at most 2k, of which rect_max holds three at a time
@@ -48,8 +51,8 @@ _PREFILTER_MARGIN = 1e-9
 #: ~2.2e10 (d=3, k=925) on a 2-core x86 box, so 2^42 = 4.4e12 is three
 #: minutes or more.  Every case within the entry cap and the 2^53 bound
 #: up to k=221 fits; hex k=13, the last k the entry cap accepts, spends
-#: 6.1e9, and the rect table's 8t^5 is only 1.4e12 at k=7, which the
-#: entry cap already refuses.
+#: 6.1e9, and the rect table's t slices spend ~2.3t^5, only 3.9e11 at
+#: k=7, which the entry cap already refuses.
 FRONTIER_WORK_CAP = 1 << 42
 
 #: tensors of the largest size that _check_frontier works out which a
@@ -61,7 +64,7 @@ FRONTIER_WORK_CAP = 1 << 42
 #: accepts them.  Type-2 cases, every one of at least 1 MiB a tensor at
 #: k=3..6, peak at 2.14 to 2.25 without label 8 and at 3.00 to 3.04 with
 #: it (2[1,8] 3.035 at k=3 and 3.001 at k=5, 2[1,2,8] 3.024 at k=4 and
-#: 3.002 at k=6).  rect_max peaks at 8.41, 8.27 and 8.22 tensors of t^3
+#: 3.002 at k=6).  rect_max peaks at 8.22, 8.15 and 8.14 tensors of t^3
 #: entries at k=2, 3 and 4, charged 16: k=6 (t=149) runs, k=7 (t=176) not.
 FRONTIER_LIVE_TENSORS = {"type1": 8, "type2": 4, "rect": 16}
 
@@ -72,21 +75,26 @@ def _check_frontier(S: int, layers: int, axes, passes: int,
     tensors of the largest size of a _frontier_dp call would exceed
     ENUMERATION_CAP entries, or `passes` such calls together
     FRONTIER_WORK_CAP multiply-adds.  The call has S states per layer
-    and axes given as (size, masked layers): it makes a matmul per layer
-    on the frontier, which grows by each axis at its first masked layer,
-    and one for the closing axes."""
+    and axes given as (size, masked layers), a sequence axis with its
+    prefix count at each layer in place of the size: it makes a matmul
+    per layer on the frontier, which grows by each axis at its first
+    masked layer and by each sequence axis at every layer, and one for
+    the closing axes."""
     last = layers - 1
-    closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
-    joined = math.prod(n for a, (n, _) in enumerate(axes) if a not in closing)
+    seq = [a for a, (n, _) in enumerate(axes) if np.ndim(n)]
+    closing = [a for a, (_, m) in enumerate(axes)
+               if set(m) == {last} and a not in seq]
     closed = math.prod(axes[a][0] for a in closing)
-    work, frontier = 0, 1
+    work, largest = 0, closed * S
     for layer in range(layers):
         if layer:
             work += 2 * frontier * S * S
-        frontier *= math.prod(n for a, (n, m) in enumerate(axes)
-                              if a not in closing and min(m) == layer)
+        frontier = math.prod(n[layer] if a in seq else n
+                             for a, (n, m) in enumerate(axes)
+                             if a not in closing and min(m) <= layer)
+        largest = max(largest, frontier * S)
     work += 2 * frontier * S * closed
-    largest = max(joined * S, joined * closed, closed * S)
+    largest = max(largest, frontier * closed)
     live = FRONTIER_LIVE_TENSORS[kind]
     if live * largest > ENUMERATION_CAP:
         raise EnumerationCapError(
@@ -106,19 +114,27 @@ def _frontier_dp(T, weight, layers: int, axes):
     and weighs the sum of weight[s] over its states.  An axis (size,
     {layer: mask}) multiplies it by mask[a, s] at each listed layer.  It
     joins the frontier at its first mask, or, if masked at the last layer
-    only, is contracted with that layer by one matmul.  Raises
+    only, is contracted with that layer by one matmul.  A sequence axis
+    (step, {layer: mask}) has a K x K 0/1 step matrix in place of the
+    size and a (K, S) mask at every layer: its values are the sequences
+    of `layers` cells in 0..K-1 whose consecutive cells a, b have
+    step[a, b] = 1, in lexicographic order, and its mask at layer r
+    reads cell r.  It joins the frontier as its K one-cell prefixes and
+    grows by one cell, a gather, at each later layer.  Raises
     EnumerationCapError when an entry could reach 2^53; its size and
     work are the caller's to bound (_check_frontier).
     """
     S, last = len(weight), layers - 1
-    sizes = [size for size, _ in axes]
-    closing = [a for a, (_, m) in enumerate(axes) if set(m) == {last}]
+    seq = [a for a, (n, _) in enumerate(axes) if np.ndim(n)]
+    closing = [a for a, (_, m) in enumerate(axes)
+               if set(m) == {last} and a not in seq]
 
     def top(a):
         return int(np.abs(np.asarray(a)).max(initial=0))
 
-    # count <= S^layers times the largest entries of T and the masks;
-    # weight <= count times the heaviest filling
+    # count <= S^layers times the largest entries of T and the masks (a
+    # sequence picks one mask row per layer); weight <= count times the
+    # heaviest filling
     count = S ** layers * top(T) ** last * math.prod(
         top(mask) for _, m in axes for mask in m.values())
     if count * max(1, layers * top(weight)) >= 1 << 53:
@@ -126,35 +142,43 @@ def _frontier_dp(T, weight, layers: int, axes):
                                   "the exact range of float64")
     T, weight = np.asarray(T, np.float64), np.asarray(weight, np.float64)
 
-    present, cnt, wgt = [], np.ones(S), None
+    # the last cell of every prefix of each sequence axis
+    ends = {a: np.arange(len(axes[a][0])) for a in seq}
+    present, cnt, wgt = [], np.ones(S), np.zeros(S)
     for layer in range(layers):
         if layer:
             cnt = (cnt.reshape(-1, S) @ T).reshape(cnt.shape)
             wgt = (wgt.reshape(-1, S) @ T).reshape(wgt.shape)
-        here = [a for a, (_, m) in enumerate(axes)
-                if layer in m and a not in closing]
-        if here:
-            new = [a for a in here if a not in present]
-            present += new
-            mask = 1
-            for a in here:
-                shape = [1] * len(present) + [S]
-                shape[present.index(a)] = sizes[a]
-                mask = mask * np.asarray(axes[a][1][layer],
-                                         np.float64).reshape(shape)
-            grown = cnt.shape[:-1] + (1,) * len(new) + (S,)
-            if wgt is None:  # first layer: the frontier is all ones
-                cnt = mask
-            else:
-                cnt = cnt.reshape(grown) * mask
-                wgt = wgt.reshape(grown) * mask
-        wgt = cnt * weight if wgt is None else wgt + cnt * weight
+            for a in seq:
+                # prefix p, then cell v, in (p, v) order: lexicographic
+                parent, ends[a] = np.nonzero(np.asarray(axes[a][0])[ends[a]])
+                cnt = np.take(cnt, parent, axis=present.index(a))
+                wgt = np.take(wgt, parent, axis=present.index(a))
+        for a, (_, m) in enumerate(axes):
+            if layer not in m or a in closing:
+                continue
+            mask = np.asarray(m[layer], np.float64)
+            if a in seq:
+                mask = mask[ends[a]]
+            joins = a not in present
+            if joins:
+                present.append(a)
+            shape = [1] * len(present) + [S]
+            shape[present.index(a)] = len(mask)
+            mask = mask.reshape(shape)
+            if joins:  # a new frontier axis, before the states
+                cnt = cnt[..., None, :] * mask
+                wgt = wgt[..., None, :] * mask
+            else:  # the frontier arrays are this call's own
+                cnt *= mask
+                wgt *= mask
+        wgt += cnt * weight
 
     close = np.ones((1, S))
     for a in closing:
         mask = np.asarray(axes[a][1][last], np.float64)
         close = (close[:, None, :] * mask[None, :, :]).reshape(-1, S)
-    shape = cnt.shape[:-1] + tuple(sizes[a] for a in closing)
+    shape = cnt.shape[:-1] + tuple(len(axes[a][1][last]) for a in closing)
     cnt = (cnt.reshape(-1, S) @ close.T).reshape(shape)
     wgt = (wgt.reshape(-1, S) @ close.T).reshape(shape)
     order = present + closing
@@ -336,28 +360,36 @@ def rect_stat_tensors(k: int):
     the (count, weight) float64 arrays of shape (t, t, t) indexed by the
     (left, right, bottom) boundary path sequences.
 
-    Boundary paths and block rows share the same valid-sequence list.
-    Each slice is one _frontier_dp call over the four block rows, with
-    the top path as a size-1 axis, so the entries are exact (that call
-    checks their bound against 2^53); nothing is kept between calls.
+    Boundary paths and block rows share the same valid-sequence list, in
+    lexicographic order.  Each slice is one _frontier_dp call over the
+    four block rows, with the top path as a size-1 axis, the left and
+    right paths as sequence axes (block row r reads only cell r of each,
+    so they join as prefixes and reach t at the last row) and the bottom
+    path as a closing axis; so the entries are exact (that call checks
+    their bound against 2^53), and nothing is kept between calls.
     Raises EnumerationCapError, before listing a row, when _check_frontier
     refuses its t slices, one per top path.
     """
-    # t, the number of valid 4-rows (4 values in 0..k, neighbours within
-    # 1), is 1 at k=0, 16 at k=1 and 27k - 13 from k=2 on
-    t = [1, 16][k] if k < 2 else 27 * k - 13
-    _check_frontier(t, 4, [(1, [0]), (t, range(4)), (t, range(4)), (t, [3])],
-                    t, "rect")
+    # the valid prefixes of a 4-row (1 to 4 values in 0..k, neighbours
+    # within 1) by length: every sequence at k <= 1, and K, 3K - 2,
+    # 9K - 10 and 27K - 40 from k=2 on; t = 27K - 40 = 27k - 13 rows
+    K = k + 1
+    prefixes = ([K ** n for n in range(1, 5)] if k < 2
+                else [K, 3 * K - 2, 9 * K - 10, 27 * K - 40])
+    t = prefixes[-1]
+    side = (prefixes, range(4))
+    _check_frontier(t, 4, [(1, [0]), side, side, (t, [3])], t, "rect")
     # the valid 4-rows are the k-heights of a 4-vertex path
     rows = np.array(list(enumerate_heights(
         Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), k)))
     # V[s, r]: row r may sit below row s; pointwise |s_j - r_j| <= 1 is
     # also how the top and bottom boundary paths pin the outer rows
     V = step_matrix(rows, dtype=np.int64)
-    # side axes: sequence s pins the left (right) column cell of row i
-    left, right = ((t, {i: step_matrix(rows[:, i], rows[:, col],
-                                       dtype=np.int64) for i in range(4)})
-                   for col in (0, 3))
+    # side axes: cell r of the left (right) path pins the left (right)
+    # column cell of block row r
+    P = step_matrix(np.arange(K), dtype=np.int64)
+    left, right = ((P, dict.fromkeys(range(4), step_matrix(
+        np.arange(K), rows[:, col], dtype=np.int64))) for col in (0, 3))
     bottom = (t, {3: V})
 
     def top_slice(i: int):

@@ -84,7 +84,7 @@ def test_tables_cap_exit():
 
 
 def test_rect_live_tensor_charge(capsys):
-    # rect_max peaks at ~8.3 tensors of t^3 entries and is charged 16:
+    # rect_max peaks at ~8.2 tensors of t^3 entries and is charged 16:
     # k=6 (t=149) runs and k=7 (t=176) is the first refused k
     live = tables.FRONTIER_LIVE_TENSORS["rect"]
     assert live * 149 ** 3 <= ENUMERATION_CAP < live * 176 ** 3

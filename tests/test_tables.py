@@ -13,7 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from kheights import _golden, tables
 from kheights.divergence import block_divergence, round_half_even
-from kheights.enumeration import EnumerationCapError, filling_stats
+from kheights.enumeration import (
+    EnumerationCapError,
+    filling_stats,
+    step_matrix,
+)
 from kheights.graphs import (
     CaseTag,
     case_slots,
@@ -320,6 +324,46 @@ def test_rect_engine_matches_scalar_dp(entry):
                                                     want.total_weight)
 
 
+@cache
+def _four_axis_slices(k):
+    """top_slice with the left and right paths as full (t, {row: cell
+    mask}) axes joined at row 0: an independent DP to check the sequence
+    axes against."""
+    rows = rect_stat_tensors(k)[0]
+    t = len(rows)
+    V = step_matrix(rows, dtype=np.int64)
+    left, right = ((t, {r: step_matrix(rows[:, r], rows[:, col],
+                                       dtype=np.int64) for r in range(4)})
+                   for col in (0, 3))
+
+    def top_slice(i):
+        cnt, wgt = _frontier_dp(V, rows.sum(axis=1), 4,
+                                [(1, {0: V[i:i + 1]}), left, right,
+                                 (t, {3: V})])
+        return cnt[0], wgt[0]
+
+    return top_slice
+
+
+def _assert_slice_matches_four_axis_oracle(k, i):
+    cnt, wgt = rect_stat_tensors(k)[1](i)
+    want_cnt, want_wgt = _four_axis_slices(k)(i)
+    assert np.array_equal(cnt, want_cnt) and np.array_equal(wgt, want_wgt)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_rect_half_slices_match_four_axis_oracle(k):
+    rows = rect_stat_tensors(k)[0]
+    for i in np.flatnonzero(rows.sum(axis=1) <= 2 * k):
+        _assert_slice_matches_four_axis_oracle(k, i)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 94))  # t = 95 top paths at k=4
+def test_rect_slices_match_four_axis_oracle_k4(i):
+    _assert_slice_matches_four_axis_oracle(4, i)
+
+
 @st.composite
 def rect_flips(draw):
     """k in 1..3, a top path index and the index of its flip x -> k - x
@@ -433,7 +477,7 @@ def test_rect_slice_cap():
 
 def test_rect_charges_its_slices_before_listing_a_row(monkeypatch):
     # rect_stat_tensors makes one _check_frontier call, before it lists
-    # the rows, with the closed-form row count t
+    # the rows, with the closed-form row and prefix counts
     listed, charged = [], []
     enumerate_heights = tables.enumerate_heights
 
@@ -449,24 +493,38 @@ def test_rect_charges_its_slices_before_listing_a_row(monkeypatch):
     for k in range(13):
         listed.clear()
         charged.clear()
-        t = len(rect_stat_tensors(k)[0])
-        axes = [(1, [0]), (t, range(4)), (t, range(4)), (t, [3])]
+        rows = rect_stat_tensors(k)[0].tolist()
+        t = len(rows)
+        # the side paths are charged their valid prefixes by length
+        side = ([len({tuple(v[:n]) for v in rows}) for n in range(1, 5)],
+                range(4))
+        axes = [(1, [0]), side, side, (t, [3])]
         assert charged == [((t, 4, axes, t, "rect"), 0)]
         assert len(listed) == 1
 
 
 def _brute_frontier(T, weight, layers, axes):
-    """_frontier_dp by summing over every state sequence."""
-    shape = tuple(size for size, _ in axes)
+    """_frontier_dp by summing over every state sequence; a sequence
+    axis's values are its valid cell sequences listed by product(),
+    that is, in lexicographic order."""
+    def cells(n):  # each value's mask row at every layer
+        if np.ndim(n) == 0:
+            return [(i,) * layers for i in range(n)]
+        return [c for c in product(range(len(n)), repeat=layers)
+                if all(n[a][b] for a, b in zip(c, c[1:]))]
+
+    values = [cells(n) for n, _ in axes]
+    shape = tuple(len(v) for v in values)
     cnt = np.zeros(shape, dtype=object)
     wgt = np.zeros(shape, dtype=object)
     for seq in product(range(len(weight)), repeat=layers):
         f = math.prod(int(T[a, b]) for a, b in zip(seq, seq[1:]))
         w = sum(int(weight[s]) for s in seq)
         for idx in np.ndindex(*shape):
-            g = f * math.prod(int(mask[idx[a], seq[layer]])
-                              for a, (_, masks) in enumerate(axes)
-                              for layer, mask in masks.items())
+            g = f * math.prod(
+                int(mask[values[a][idx[a]][layer], seq[layer]])
+                for a, (_, masks) in enumerate(axes)
+                for layer, mask in masks.items())
             cnt[idx] += g
             wgt[idx] += g * w
     return cnt, wgt
@@ -475,17 +533,28 @@ def _brute_frontier(T, weight, layers, axes):
 def test_frontier_dp_matches_brute_force():
     T = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]])
     weight = np.array([1, 7, 5])
+    # a sequence axis over the cells 0, 1 with no two 0s in a row: its 8
+    # values 0101, 0110, ..., 1111 join as 2, 3, 5 and 8 prefixes, and
+    # each layer's mask reads its own cell
+    no_00 = np.array([[0, 1], [1, 1]])
+    cells = {0: np.array([[1, 0, 1], [0, 1, 1]]),
+             1: np.array([[1, 2, 0], [0, 1, 1]]),
+             2: np.array([[0, 1, 1], [1, 0, 1]]),
+             3: np.array([[1, 1, 1], [1, 0, 0]])}
     axes = [(3, {0: T, 2: np.eye(3, dtype=int)}),  # joins, masked again
+            (no_00, cells),
             (2, {1: np.array([[1, 0, 1], [0, 1, 1]])}),
             (3, {3: T}),  # two closing axes with distinct masks
             (2, {3: np.array([[1, 1, 0], [0, 0, 1]])})]
     cnt, wgt = _frontier_dp(T, weight, 4, axes)
     want_cnt, want_wgt = _brute_frontier(T, weight, 4, axes)
+    assert cnt.shape == (3, 8, 2, 3, 2)
     assert np.array_equal(cnt, want_cnt) and np.array_equal(wgt, want_wgt)
-    # the entry bound here is 3^4 sequences x 4 layers x the heaviest
-    # state: the heaviest weight that keeps it below 2^53 still runs
-    # exactly, one more is refused before float64 could round
-    w = (2 ** 53 - 1) // (3 ** 4 * 4)
+    # the entry bound here is 3^4 sequences x 2, the largest entry of the
+    # sequence axis's masks, x 4 layers x the heaviest state: the heaviest
+    # weight that keeps it below 2^53 still runs exactly, one more is
+    # refused before float64 could round
+    w = (2 ** 53 - 1) // (3 ** 4 * 2 * 4)
     heavy = np.array([1, w, 5])
     cnt, wgt = _frontier_dp(T, heavy, 4, axes)
     assert np.array_equal(wgt, _brute_frontier(T, heavy, 4, axes)[1])
