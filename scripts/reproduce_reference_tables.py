@@ -10,19 +10,12 @@ still matches the frozen golden data.
 import argparse
 import json
 import pathlib
-import sys
 
 from kheights.cli import main as cli_main
 
 
 def run(argv, dest: pathlib.Path):
-    with dest.open("w") as fh:
-        old = sys.stdout
-        sys.stdout = fh
-        try:
-            code = cli_main(argv)
-        finally:
-            sys.stdout = old
+    code = cli_main([*argv, "--out", str(dest)])
     print(f"{' '.join(argv):<60} -> {dest.name} (exit {code})")
     return code
 

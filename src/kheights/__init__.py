@@ -2,7 +2,6 @@
 block couplings, divergence tables, exact sampling, and mixing bounds."""
 
 from .bounds import (
-    BoundInputs,
     beta_corollary,
     beta_exact,
     c_constant,

@@ -20,7 +20,6 @@ intermediate against the exact value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._golden import (
@@ -46,26 +45,6 @@ FAMILY_PARAMS = {
     "regular3": (10, 24, 24, 30),
     "dual4": (10, 24, 24, 30),
 }
-
-
-@dataclass(frozen=True)
-class BoundInputs:
-    """Everything the Theorem-level formulas need about one family."""
-
-    n: int
-    k: int
-    family_size: int
-    b: int  # max block size
-    m: int  # max blocks through a vertex
-    m_check: int  # min blocks through a vertex
-    s: int  # max block boundaries containing a vertex
-    e_max: Fraction | None = None
-
-    def __post_init__(self):
-        if not (0 < self.m_check <= self.m):
-            raise ValueError("need 0 < m_check <= m")
-        if min(self.n, self.k, self.family_size, self.b, self.s) <= 0:
-            raise ValueError("all counts must be positive")
 
 
 def beta_exact(memberships, divergence_sums, family_size: int) -> Fraction:
@@ -104,20 +83,14 @@ def sci7(x) -> str:
     x = Fraction(x)
     if x <= 0:
         raise ValueError("positive values only")
-    exp = len(str(x.numerator // x.denominator)) - 1 if x >= 1 else None
-    if exp is None:
-        exp = -1
-        y = x
-        while y < 1:
-            y *= 10
-            exp -= 1
-        exp += 1
-    mant_scaled = x * Fraction(10) ** (6 - exp)  # 7 significant digits
-    mant_int = -((-mant_scaled.numerator) // mant_scaled.denominator)  # ceil
-    if mant_int >= 10 ** 7:
-        mant_int = -(-mant_int // 10)
-        exp += 1
-    m = str(mant_int)
+    # 10^exp <= x < 10^(exp + 1): the digit counts leave two choices
+    exp = len(str(x.numerator)) - len(str(x.denominator))
+    if Fraction(10) ** exp > x:
+        exp -= 1
+    mant = math.ceil(x / Fraction(10) ** (exp - 6))  # 7 significant digits
+    if mant == 10 ** 7:  # rounded up to the next power of ten
+        mant, exp = 10 ** 6, exp + 1
+    m = str(mant)
     return f"{m[0]}.{m[1:]}e{exp:+03d}"
 
 

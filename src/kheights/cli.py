@@ -3,7 +3,8 @@
 Commands: tables, divergence, bound, run, sample, couple-time, heatmap,
 verify.  Exit codes: 0 success, 2 golden/verification mismatch, 3
 invalid input, 4 enumeration cap exceeded.  Every persisted output
-embeds {version, command line, seed, graph hash} for provenance.
+embeds {version, command, seed, graph hash} for provenance, the command
+being the arguments that main parsed.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 import sys
 from contextlib import contextmanager
 from fractions import Fraction
@@ -42,8 +44,9 @@ EXIT_BAD_INPUT = 3
 EXIT_CAP = 4
 
 
-def _provenance(seed=None, graph: Graph | None = None) -> dict:
-    p = {"version": __version__, "command": " ".join(sys.argv)}
+def _provenance(command: str, seed=None,
+                graph: Graph | None = None) -> dict:
+    p = {"version": __version__, "command": command}
     if seed is not None:
         p["seed"] = seed
     if graph is not None:
@@ -140,7 +143,7 @@ def cmd_tables(args) -> int:
         reports = [case_divergence(tag, args.k)]
     else:
         reports = reproduce_table(args.id, args.k)
-    lines = ["# " + json.dumps(_provenance()),
+    lines = ["# " + json.dumps(_provenance(args.command)),
              "k,case,omega_block,omega_boundary,e_max"]
     mismatches = []
     for rep in reports:
@@ -168,7 +171,7 @@ def cmd_divergence(args) -> int:
     else:
         [rep] = reproduce_table(args.family, args.k)
     doc = {
-        "provenance": _provenance(),
+        "provenance": _provenance(args.command),
         "k": rep.k,
         "case": rep.case_id,
         "omega_block": rep.omega_block,
@@ -203,7 +206,7 @@ def cmd_bound(args) -> int:
     if args.n and args.eps and c_exact is not None:
         tau = tau_bound(c_exact, args.n, args.k, args.eps)
     doc = {
-        "provenance": _provenance(),
+        "provenance": _provenance(args.command),
         "family": args.family,
         "k": args.k,
         "beta": beta,
@@ -234,8 +237,9 @@ def cmd_run(args) -> int:
         sampler = BlockSampler(graph, _block_family(graph), args.k)
         stepper = lambda st, m: step_block(st, sampler, m)  # noqa: E731
     with _opened(args.out) as fh:
-        fh.write(json.dumps({"provenance": _provenance(args.seed, graph),
-                             "k": args.k, "chain": args.chain}) + "\n")
+        prov = _provenance(args.command, args.seed, graph)
+        fh.write(json.dumps({"provenance": prov, "k": args.k,
+                             "chain": args.chain}) + "\n")
         if args.steps > 0:
             # one line per snapshot as it is made: none is held
             for step, h in run(state, args.steps, stepper,
@@ -251,8 +255,9 @@ def cmd_sample(args) -> int:
     graph = parse_graph(args.graph)
     if args.height_out and args.n < 1:
         raise ValueError("--height-out needs --n >= 1")
-    lines = [json.dumps({"provenance": _provenance(args.seed, graph),
-                         "k": args.k, "sampler": "cftp"})]
+    prov = _provenance(args.command, args.seed, graph)
+    lines = [json.dumps({"provenance": prov, "k": args.k,
+                         "sampler": "cftp"})]
     for i in range(args.n):
         sub = int(np.random.SeedSequence(
             entropy=(args.seed, i)).generate_state(1)[0])
@@ -272,7 +277,7 @@ def cmd_couple_time(args) -> int:
     family = _block_family(graph) if args.chain == "block" else None
     est = coupling_time_estimate(graph, args.k, trials=args.trials,
                                  seed=args.seed, family=family)
-    lines = ["# " + json.dumps(_provenance(args.seed, graph)),
+    lines = ["# " + json.dumps(_provenance(args.command, args.seed, graph)),
              "trial,steps"]
     lines += [f"{i},{t}" for i, t in enumerate(est["times"])]
     lines.append(f"# mean={est['mean']} median={est['median']} "
@@ -293,6 +298,9 @@ def _read_height(path: str) -> KHeight:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: not a JSON object")
+    for field in ("graph", "k", "values"):
+        if field not in doc:
+            raise ValueError(f"{path}: missing field {field!r}")
     graph = Graph.from_json_dict(doc["graph"])
     k, values = doc["k"], doc["values"]
     if not (type(k) is int and isinstance(values, list)
@@ -335,7 +343,7 @@ def cmd_heatmap(args) -> int:
     size = 40 * scale
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" '
              f'height="{size}">',
-             f"<!-- {json.dumps(_provenance(graph=graph))} -->"]
+             f"<!-- {json.dumps(_provenance(args.command, graph=graph))} -->"]
     for v in range(n):
         a = 2 * math.pi * v / n
         cx = size / 2 + (size / 2 - 10) * math.cos(a)
@@ -353,7 +361,7 @@ def cmd_verify(args) -> int:
     from .verify import run_verification
 
     report = run_verification()
-    report["provenance"] = _provenance()
+    report["provenance"] = _provenance(args.command)
     _write(args.out, json.dumps(report, indent=2) + "\n")
     failed = [c["id"] for c in report["checks"] if not c["passed"]]
     for cid in failed:
@@ -466,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.command = "kheights " + shlex.join(argv)
     # looked up per call, so that a replaced cmd_* function is the one run
     fn = globals()["cmd_" + args.cmd.replace("-", "_")]
     try:

@@ -135,7 +135,8 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
     depends on that node and edge order and on the scipy version (the
     benchmark records it in its provenance).
 
-    Raises ValueError for an empty set or a repeated filling,
+    Raises ValueError for an empty set, fillings of no vertex (a joint
+    of equal lists is never needed) or a repeated filling,
     DominanceError when no comparable joint exists, and
     EnumerationCapError, before the comparison array is built, when its
     L * H * m entries (m vertices a filling) pass ENUMERATION_CAP; the
@@ -143,13 +144,8 @@ def strassen_joint(low_set, high_set) -> JointCoupling:
     """
     low_set, high_set = tuple(low_set), tuple(high_set)
     L, H = len(low_set), len(high_set)
-    if L == 0 or H == 0:
-        raise ValueError("empty filling set")
-    if L == 1 and H == 1:
-        if any(a > b for a, b in zip(low_set[0], high_set[0])):
-            raise DominanceError("singleton pair not comparable")
-        return JointCoupling(low_set, high_set, array("q", (0, 1)),
-                             array("i", (0,)), array("q", (1,)))
+    if L == 0 or H == 0 or not low_set[0]:
+        raise ValueError("empty filling set, or fillings of no vertex")
     m = len(low_set[0])
     check_joint_size(L, H, m)
     if len(set(low_set)) < L or len(set(high_set)) < H:
@@ -477,8 +473,6 @@ def cftp_sample(graph: Graph, k: int, seed: int) -> KHeight:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    if k == 0:
-        return KHeight.constant(graph, k, 0)
     n = graph.n
     adj = graph.adjacency()
     epochs = _remembered_epochs(n, hash(graph.edges), k)

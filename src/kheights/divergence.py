@@ -51,18 +51,8 @@ class DivergenceReport:
     witness: tuple[BoundaryConstraint, int] | None  # (low constraint, pivot)
 
     def e_max_rounded(self) -> float:
-        return round_half_even(self.e_max, 6)
-
-
-def round_half_even(x: Fraction, digits: int = 6) -> float:
-    """Round an exact rational to `digits` decimals, ties to even."""
-    scale = 10 ** digits
-    y = x * scale
-    n = y.numerator // y.denominator
-    rem = y - n
-    if rem > Fraction(1, 2) or (rem == Fraction(1, 2) and n % 2):
-        n += 1
-    return n / scale
+        """E_max to 6 decimals, exact ties to even (Fraction.__round__)."""
+        return float(round(self.e_max, 6))
 
 
 def iter_cover_pairs(graph: Graph, block: Block, v: int, k: int):

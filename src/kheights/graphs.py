@@ -104,6 +104,9 @@ class Graph:
         building it, past GRAPH_MAX_SIZE."""
         if not isinstance(d, dict):
             raise GraphError("a graph record must be a JSON object")
+        for field in ("n", "edges"):
+            if field not in d:
+                raise GraphError(f"graph record: missing field {field!r}")
         n, edges, dims = d["n"], d["edges"], d.get("dims")
         kind = d.get("kind")
         if not (type(n) is int and n >= 0):

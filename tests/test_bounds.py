@@ -3,10 +3,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kheights.bounds import (
     FAMILY_PARAMS,
-    BoundInputs,
     beta_corollary,
     beta_exact,
     c_constant,
@@ -17,13 +17,6 @@ from kheights.bounds import (
 )
 from kheights.graphs import Graph
 from kheights.heights import enumerate_heights
-
-
-def test_bound_inputs_validation():
-    with pytest.raises(ValueError):
-        BoundInputs(n=10, k=2, family_size=10, b=4, m=2, m_check=3, s=4)
-    with pytest.raises(ValueError):
-        BoundInputs(n=0, k=2, family_size=10, b=4, m=3, m_check=3, s=4)
 
 
 def test_beta_exact_trivial_divergence():
@@ -74,6 +67,45 @@ def test_sci7_rounds_up():
     assert sci7(Fraction(1234567)) == "1.234567e+06"
     assert sci7(Fraction(1, 3)) == "3.333334e-01"
     assert sci7(Fraction(9999999999)) == "1.000000e+10"
+
+
+def _sci7_by_scaling(x) -> str:
+    """The reference rounding: the exponent of x < 1 found by scaling x
+    up ten at a time."""
+    x = Fraction(x)
+    exp = len(str(x.numerator // x.denominator)) - 1 if x >= 1 else None
+    if exp is None:
+        exp = -1
+        y = x
+        while y < 1:
+            y *= 10
+            exp -= 1
+        exp += 1
+    mant_scaled = x * Fraction(10) ** (6 - exp)
+    mant_int = -((-mant_scaled.numerator) // mant_scaled.denominator)
+    if mant_int >= 10 ** 7:
+        mant_int = -(-mant_int // 10)
+        exp += 1
+    m = str(mant_int)
+    return f"{m[0]}.{m[1:]}e{exp:+03d}"
+
+
+_EXPONENTS = st.integers(-40, 40)
+_SCI7_INPUTS = st.one_of(
+    st.builds(lambda n, d: Fraction(n, d), st.integers(1, 10 ** 40),
+              st.integers(1, 10 ** 40)),
+    # exact 7-digit mantissas, powers of ten and just around them
+    st.builds(lambda m, e: Fraction(m) * Fraction(10) ** e,
+              st.integers(10 ** 6, 10 ** 7 - 1), _EXPONENTS),
+    st.builds(lambda e, d: Fraction(10) ** e + d * Fraction(10) ** (e - 30),
+              _EXPONENTS, st.integers(-9, 9)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(x=_SCI7_INPUTS)
+def test_sci7_matches_the_scaling_loop(x):
+    assert sci7(x) == _sci7_by_scaling(x)
 
 
 def test_tau_bound_properties():

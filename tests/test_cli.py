@@ -628,6 +628,45 @@ def test_malformed_height_json_exits_3(tmp_path, doc):
                  "--out", str(tmp_path / "x.ppm")]) == 3
 
 
+@pytest.mark.parametrize("doc, field", [
+    ({"k": 2, "values": [0] * 9}, "graph"),
+    ({"graph": _RECT3, "values": [0] * 9}, "k"),
+    ({"graph": _RECT3, "k": 2}, "values"),
+    ({"graph": {"n": 9}, "k": 2, "values": [0] * 9}, "edges"),
+    ({"graph": {"edges": []}, "k": 2, "values": [0] * 9}, "n"),
+])
+def test_missing_height_field_is_named(tmp_path, capsys, doc, field):
+    f = tmp_path / "height.json"
+    f.write_text(json.dumps(doc))
+    assert main(["heatmap", "--height", str(f),
+                 "--out", str(tmp_path / "x.ppm")]) == 3
+    assert f"missing field {field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("graph, field", [({"n": 9}, "edges"),
+                                          ({"edges": []}, "n")])
+def test_missing_graph_field_is_named(tmp_path, capsys, graph, field):
+    f = tmp_path / "g.json"
+    f.write_text(json.dumps(graph))
+    assert main(["run", "--chain", "updown", "--graph", str(f), "--k", "1",
+                 "--steps", "1", "--seed", "0"]) == 3
+    assert f"missing field {field!r}" in capsys.readouterr().err
+
+
+def test_provenance_records_the_parsed_command(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["host-program", "--its-own", "flags"])
+    out = tmp_path / "a b.csv"
+    argv = ["tables", "--id", "hex", "--k", "2", "--out", str(out)]
+    assert main(argv) == 0
+    header = json.loads(out.read_text().splitlines()[0][2:])
+    assert header["command"] == "kheights " + shlex.join(argv)
+    # with no argv, main parses and records sys.argv[1:]
+    monkeypatch.setattr("sys.argv", ["kheights-script"] + argv)
+    assert main() == 0
+    header = json.loads(out.read_text().splitlines()[0][2:])
+    assert header["command"] == "kheights " + shlex.join(argv)
+
+
 def test_readme_commands_exit_0(tmp_path, monkeypatch):
     """Every kheights line of README's "Command line" block runs, in
     order, in one fresh directory: heatmap reads what sample writes."""

@@ -776,10 +776,25 @@ def test_coupling_time_seedsequence_isolation(path3):
     assert a["times"] != b["times"]
 
 
-def test_strassen_singleton_shortcut():
+def test_strassen_single_fillings_take_the_flow_path():
     j = strassen_joint([(0, 1)], [(1, 1)])
     assert j.support == (((0, 1), (1, 1), Fraction(1)),)
-    assert isinstance(np.int64(1), np.integer)  # numpy available
+    assert (list(j.offsets), list(j.high), list(j.cum)) == ([0, 1], [0], [1])
+    assert j.expected_delta() == 1
+    with pytest.raises(ValueError, match="no vertex"):
+        strassen_joint([()], [()])
+    with pytest.raises(DominanceError):
+        strassen_joint([(0, 2)], [(1, 1)])
+
+
+@pytest.mark.parametrize("g", [
+    Graph.from_edges(1, []), Graph.from_edges(3, [(0, 1), (1, 2)]),
+    Graph.from_edges(5, [(i, (i + 1) % 5) for i in range(5)]),
+    make_complete(4)], ids=["path:1", "path:3", "cycle:5", "complete:4"])
+def test_cftp_at_k0_is_the_all_zero_height(g):
+    for seed in (0, 1, 2 ** 40):
+        h = cftp_sample(g, 0, seed)
+        assert (h.k, h.values) == (0, (0,) * g.n)
 
 
 def test_strassen_cap_exit_before_allocating():

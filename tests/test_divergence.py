@@ -4,23 +4,28 @@ from itertools import product
 import pytest
 
 from kheights.divergence import (
+    DivergenceReport,
     NonExtensibleError,
     block_divergence,
     expected_gap,
     iter_cover_pairs,
-    round_half_even,
 )
 from kheights.graphs import Block, CaseTag, Graph, boundary, make_case_graph
 from kheights.heights import BoundaryConstraint
 
 
-def test_round_half_even():
-    assert round_half_even(Fraction(1, 3), 6) == 0.333333
-    assert round_half_even(Fraction(2, 3), 6) == 0.666667
-    assert round_half_even(Fraction(1, 2), 0) == 0.0
-    assert round_half_even(Fraction(3, 2), 0) == 2.0
-    assert round_half_even(Fraction(25, 1000), 2) == 0.02
-    assert round_half_even(Fraction(35, 1000), 2) == 0.04
+def test_e_max_rounded_ties_to_even():
+    def rounded(e_max):
+        return DivergenceReport(2, "x", 1, 1, e_max, None).e_max_rounded()
+
+    assert rounded(Fraction(1, 3)) == 0.333333
+    assert rounded(Fraction(2, 3)) == 0.666667
+    # exact ties at the 7th decimal go to the even 6th
+    assert rounded(Fraction(25, 10 ** 7)) == 0.000002
+    assert rounded(Fraction(-25, 10 ** 7)) == -0.000002
+    assert rounded(Fraction(35, 10 ** 7)) == 0.000004
+    assert rounded(Fraction(25, 10 ** 7) + Fraction(1, 10 ** 30)) == 0.000003
+    assert rounded(Fraction(0)) == 0.0
 
 
 def test_iter_cover_pairs_structure():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from kheights import _golden, tables
-from kheights.divergence import block_divergence, round_half_even
+from kheights.divergence import block_divergence
 from kheights.enumeration import (
     EnumerationCapError,
     filling_stats,
@@ -155,9 +155,10 @@ def test_case_tensor_cap():
 
 
 def test_rounding_direction_of_reports():
-    # table text is round-half-even at 6 decimals
+    # table text is E_max = 119/149 = 0.7986577... at 6 decimals
     rep = case_divergence(CaseTag("type1", (1,), 6), 2)
-    assert rep.e_max_rounded() == round_half_even(Fraction(119, 149), 6)
+    assert rep.e_max == Fraction(119, 149)
+    assert rep.e_max_rounded() == 0.798658
 
 
 @st.composite
