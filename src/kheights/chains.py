@@ -29,6 +29,23 @@ buffer, buffer_pos, has_uint32 and uinteger.  Otherwise, and for
 chunks below UPDOWN_MIN_CHUNK steps, updown_moves puts the generator
 back to its entry state and makes the updown_draws calls.  CFTP decodes
 its epoch draws with the same two functions.
+
+A block step draws the block r from integers(total multiplicity), the
+filling index from integers(count), count known only once the block
+is picked, and then p from random().  block_step makes these scalar
+calls and stays as the reference; block_stretch decodes up to
+BLOCK_CHUNK steps from one random_raw block, one step at a time in
+Python integers: each of r and the index is Lemire on a 32-bit half,
+the low half of a fresh word first and then the kept high half (the
+entry state's, if it keeps one); a total or count of 1 draws nothing;
+p is one whole word and never touches the kept half.  So a step takes
+at most two words.  At the end the generator is put back to its entry
+state, the words used are drawn again and has_uint32 and uinteger are
+set, which leaves it where the scalar calls do.  A step whose draw
+would be rejected, or whose total or count is 2^32 or more, ends the
+stretch and goes through block_step (which raises EnumerationCapError
+from 2^63 on), and so does a stretch of fewer than BLOCK_MIN_STRETCH
+steps.
 """
 
 from __future__ import annotations
@@ -39,6 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,6 +230,41 @@ FILLINGS_CACHE_SIZE = 4096
 JOINT_MEMO_ENTRIES = 1 << 20
 
 
+class BlockStructure(NamedTuple):
+    """What a BlockSampler reads of its graph and family, per block in
+    family order: the sorted boundary, each vertex's outside neighbours
+    and enumeration.dp_shape; and the cumulative multiplicities."""
+
+    bdry: tuple
+    outside: tuple
+    shape: tuple
+    cum: tuple
+
+
+@lru_cache(maxsize=1)
+def block_structure(graph: Graph, family: BlockFamily) -> BlockStructure:
+    """The BlockStructure of (graph, family), from a one-entry process-
+    wide table keyed by their content, so that the samplers of equal
+    graphs and families built apart (one per CLI op) share one.  The
+    entry holds the structure and its key, and no sampler.  Measured
+    with tracemalloc, the structure of rect:256x256 with its 4x4 blocks
+    takes 63 MiB (a sampler held 107 MiB of lists of the same before),
+    and the entry keeps that graph and family, 68 MiB, alive after its
+    last sampler; hex:8x8 takes 0.03 MiB."""
+    adj = graph.adjacency()
+    blocks = family.blocks
+    outside = []
+    for b in blocks:
+        inside = set(b.vertices)
+        outside.append(tuple(tuple(u for u in adj[v] if u not in inside)
+                             for v in b.vertices))
+    return BlockStructure(
+        tuple(tuple(sorted(boundary(graph, b))) for b in blocks),
+        tuple(outside),
+        tuple(dp_shape(graph, b) for b in blocks),
+        tuple(accumulate(b.multiplicity for b in blocks)))
+
+
 class BlockSampler:
     """Uniform sampling from the admissible fillings of a block.
 
@@ -227,22 +280,17 @@ class BlockSampler:
     the coupled step and the exact transition matrix read that list for
     every block.  The cache wraps a closure that does not hold the
     sampler, so a dropped sampler is freed at once, not at the next full
-    collection.  joint memoises the coupled step's joints.
+    collection.  joint memoises the coupled step's joints.  The
+    boundaries, outside lists, shapes and multiplicities come from
+    block_structure, which the samplers of equal graphs share.
     """
 
     def __init__(self, graph: Graph, family: BlockFamily, k: int):
         self.graph = graph
         self.family = family
         self.k = k
-        adj = graph.adjacency()
-        self._bdry = [sorted(boundary(graph, b)) for b in family.blocks]
-        self._outside = []
-        for b in family.blocks:
-            inside = set(b.vertices)
-            self._outside.append([[u for u in adj[v] if u not in inside]
-                                  for v in b.vertices])
-        self._shape = [dp_shape(graph, b) for b in family.blocks]
-        self._cum = list(accumulate(b.multiplicity for b in family.blocks))
+        self.structure = structure = block_structure(graph, family)
+        self._bdry, self._outside, self._shape, self._cum = structure
         blocks, bdry = family.blocks, self._bdry
 
         def fillings(block_idx: int, bvals: tuple[int, ...]):
@@ -299,6 +347,93 @@ class BlockSampler:
             values[v] = x
 
 
+#: block steps decoded per random_raw block: at most two 64-bit words a
+#: step, 64 KiB of words
+BLOCK_CHUNK = 4096
+
+#: fewer steps than this take the scalar block_step calls: on hex:8x8
+#: at k=2, 2 steps took 19 us decoded and 16 us scalar, 3 took 23 and
+#: 24 us, 300 took 1.5 and 2.4 ms (the fixed cost of a stretch is the
+#: generator-state work)
+BLOCK_MIN_STRETCH = 3
+
+
+def block_step(values: list[int], sampler: BlockSampler,
+               rng: np.random.Generator) -> None:
+    """One lazy block step by the scalar Generator calls, in step_block's
+    draw order; the reference and the fallback of block_stretch."""
+    r = int(rng.integers(sampler.family.total_count))
+    b = sampler.pick_block(r)
+    count, unrank = sampler.ranked(b, values)
+    if count >= 1 << 63:
+        raise EnumerationCapError(
+            f"{count} fillings exceed the int64 index draw")
+    idx = int(rng.integers(count))
+    if float(rng.random()) <= 0.5:
+        sampler.apply(values, b, unrank(idx))
+
+
+def block_stretch(values: list[int], sampler: BlockSampler,
+                  rng: np.random.Generator, m: int) -> int:
+    """Make up to m block_step steps, decoded from one random_raw block
+    as the module docstring says, and return how many it made.  It
+    stops before a step that needs the scalar calls, and leaves the
+    generator where the scalar calls of the steps it made leave it."""
+    total = sampler.family.total_count
+    if total >= 1 << 32:
+        return 0
+    total_low = (1 << 32) % total
+    bg = rng.bit_generator
+    entry = bg.state
+    words = bg.random_raw(2 * m).tolist()
+    # kept: the 32-bit half next_uint32 returns next, or None; high: the
+    # last high half it kept, which stays in uinteger once used
+    high = entry["uinteger"]
+    kept = high if entry["has_uint32"] else None
+    i = r = 0
+    cum, ranked, apply = sampler.structure.cum, sampler.ranked, sampler.apply
+    for j in range(m):
+        at = i, kept, high
+        if total > 1:
+            if kept is None:
+                w = words[i]
+                i += 1
+                u, kept = (w & _LOW32) * total, w >> 32
+                high = kept
+            else:
+                u, kept = kept * total, None
+            if u & _LOW32 < total_low:
+                break
+            r = u >> 32
+        b = bisect_right(cum, r)
+        count, unrank = ranked(b, values)
+        idx = 0
+        if count != 1:
+            if not 1 < count < 1 << 32:
+                break
+            if kept is None:
+                w = words[i]
+                i += 1
+                u, kept = (w & _LOW32) * count, w >> 32
+                high = kept
+            else:
+                u, kept = kept * count, None
+            if u & _LOW32 < (1 << 32) % count:
+                break
+            idx = u >> 32
+        if words[i] >> 11 <= 1 << 52:
+            apply(values, b, unrank(idx))
+        i += 1
+    else:
+        j, at = m, (i, kept, high)
+    i, kept, high = at
+    entry["has_uint32"] = int(kept is not None)
+    entry["uinteger"] = high
+    bg.state = entry
+    bg.random_raw(i)
+    return j
+
+
 def step_block(state: ChainState, sampler: BlockSampler,
                steps: int = 1) -> ChainState:
     """`steps` lazy block transitions.
@@ -308,20 +443,26 @@ def step_block(state: ChainState, sampler: BlockSampler,
     enumerate_fillings lists them), then p.  The filling replaces the
     block iff p <= 1/2; only then is it unranked.  Raises
     EnumerationCapError when the count reaches 2^63, past the int64
-    index draw.
+    index draw.  Stretches of up to BLOCK_CHUNK steps are decoded by
+    block_stretch; a step it stops before goes through block_step, and
+    the stretches then double again from BLOCK_MIN_STRETCH steps, so a
+    graph whose steps keep falling back decodes few draws in vain.
     """
-    rng = state.rng
-    for _ in range(steps):
-        r = int(rng.integers(sampler.family.total_count))
-        b = sampler.pick_block(r)
-        count, unrank = sampler.ranked(b, state.values)
-        if count >= 1 << 63:
-            raise EnumerationCapError(
-                f"{count} fillings exceed the int64 index draw")
-        idx = int(rng.integers(count))
-        if float(rng.random()) <= 0.5:
-            sampler.apply(state.values, b, unrank(idx))
-        state.step_count += 1
+    values, rng = state.values, state.rng
+    size = BLOCK_CHUNK
+    while steps > 0:
+        m = min(size, steps)
+        made = (block_stretch(values, sampler, rng, m)
+                if m >= BLOCK_MIN_STRETCH else 0)
+        state.step_count += made
+        steps -= made
+        if made < m:
+            block_step(values, sampler, rng)
+            state.step_count += 1
+            steps -= 1
+            size = BLOCK_MIN_STRETCH
+        else:
+            size = min(2 * size, BLOCK_CHUNK)
     return state
 
 

@@ -266,11 +266,13 @@ def coupled_updown_step(coupled: CoupledState,
     (chains.updown_draws, a chunk at a time from chains.updown_moves);
     each side accepts by its own validity test.  Monotone in practice
     (verified by tests).  Stops right after a step at which low == high;
-    the generator is then put back to its state before the chunk and
-    draws again the chunk's steps up to that one, so it is left where
-    the scalar draws of the steps made leave it.  Chunks double from
-    UPDOWN_MIN_CHUNK to UPDOWN_CHUNK steps, so a pair that meets early
-    decodes few draws past its meeting."""
+    unless that step ends its chunk, the generator is then put back to
+    its state before the chunk and draws again the chunk's steps up to
+    that one, so it is left where the scalar draws of the steps made
+    leave it.  A one-step chunk can only meet at its end, so it saves
+    no state.  Chunks double from UPDOWN_MIN_CHUNK to UPDOWN_CHUNK
+    steps, so a pair that meets early decodes few draws past its
+    meeting."""
     low, high, k = coupled.low, coupled.high, coupled.k
     adj, n, rng = coupled.graph.adjacency(), coupled.graph.n, coupled.rng
     differ = sum(a != b for a, b in zip(low, high))
@@ -278,16 +280,17 @@ def coupled_updown_step(coupled: CoupledState,
     while done < steps:
         m = min(size, steps - done) if differ else 1
         size = min(2 * size, UPDOWN_CHUNK)
-        entry = rng.bit_generator.state
+        entry = rng.bit_generator.state if m > 1 else None
         for j, v, delta in zip(*updown_moves(rng, n, m)):
             was = low[v] != high[v]
             updown_result(low, adj, k, v, delta)
             updown_result(high, adj, k, v, delta)
             differ += (low[v] != high[v]) - was
             if not differ:
-                m = j + 1
-                rng.bit_generator.state = entry
-                updown_moves(rng, n, m)
+                if j + 1 < m:
+                    m = j + 1
+                    rng.bit_generator.state = entry
+                    updown_moves(rng, n, m)
                 break
         done += m
         if not differ:

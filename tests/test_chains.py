@@ -30,6 +30,7 @@ from kheights.graphs import (
     Block,
     BlockFamily,
     Graph,
+    boundary,
     hex_block_family,
     make_complete,
     make_toroidal_hex,
@@ -426,6 +427,121 @@ def test_ranker_table_is_shared_across_samplers():
     hits = filling_ranker.cache_info().hits
     assert sampler.ranked(0, [1] * (m + 1))[0] == counts[0]
     assert filling_ranker.cache_info().hits == hits + 1
+
+
+def test_block_structure_is_shared_by_equal_graphs():
+    """Samplers of two separately parsed equal graphs, at any k, read one
+    structure object; the table holds one entry, so a sampler of another
+    graph evicts it and the next one of the first graph rebuilds it."""
+    from kheights.cli import parse_graph
+
+    a, b, c = (parse_graph(spec) for spec in ("hex:8x8", "hex:8x8",
+                                              "hex:4x4"))
+    assert a is not b and a == b
+    first = BlockSampler(a, hex_block_family(a), 2).structure
+    assert BlockSampler(b, hex_block_family(b), 3).structure is first
+    assert first.bdry[0] == tuple(sorted(boundary(a, hex_block_family(
+        a).blocks[0])))
+    assert first.cum == tuple(range(1, 65))
+    assert BlockSampler(c, hex_block_family(c), 2).structure is not first
+    again = BlockSampler(a, hex_block_family(a), 2).structure
+    assert again is not first and again == first
+
+
+def _block_cases():
+    """(graph, family, k) of the decoder tests by name: hex:4x4 at k <= 3,
+    the 4x4 blocks of rect:8x8, singletons of K4 at k=3 (counts of 1),
+    one 4-cycle block (total 1), multiplicities 2^31 and 1 (total
+    2^31 + 1: about half the block draws are rejected), a k=2 path of 24
+    vertices as one block (count 1855077841: 14% of the index draws are
+    rejected) and a k=1 path of 33 vertices as one block (count 2^33,
+    past the 32-bit draw)."""
+    hex4, rect8, k4 = (make_toroidal_hex(4, 4), make_toroidal_rect(8, 8),
+                       make_complete(4))
+    cycle4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+    def path(m, k):
+        g = Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+        return g, BlockFamily((Block(tuple(range(m)), shape="path"),)), k
+
+    path3 = path(3, 2)[0]
+    return {
+        **{f"hex k={k}": (hex4, hex_block_family(hex4), k)
+           for k in (1, 2, 3)},
+        "rect": (rect8, rect_block_family(rect8), 2),
+        "K4 singletons": (k4, singleton_family(k4), 3),
+        "one block": (cycle4, BlockFamily((Block((0, 1, 2, 3),
+                                                 shape="cycle"),)), 2),
+        "total 2^31+1": (path3, BlockFamily((Block((0, 1), 2 ** 31, "path"),
+                                             Block((2,), 1, "path"))), 2),
+        "count 1855077841": path(24, 2),
+        "count 2^33": path(33, 1),
+    }
+
+
+BLOCK_CASES = _block_cases()
+
+
+def _block_chains(case, seed, skip, kept):
+    g, family, k = BLOCK_CASES[case]
+    chains_ = [make_chain(g, k, seed) for _ in range(2)]
+    for st in chains_:
+        st.rng = _entry_rng(seed, skip, kept)
+    return BlockSampler(g, family, k), *chains_
+
+
+def _scalar_block(state, sampler, steps):
+    for _ in range(steps):
+        chains.block_step(state.values, sampler, state.rng)
+    state.step_count += steps
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=strategies.sampled_from(sorted(BLOCK_CASES)),
+       seed=strategies.integers(0, 2 ** 32 - 1),
+       skip=strategies.integers(0, 5), kept=strategies.booleans(),
+       stretches=strategies.lists(strategies.integers(1, 70), min_size=1,
+                                  max_size=4))
+def test_block_stretches_match_scalar_steps(case, seed, skip, kept,
+                                            stretches):
+    """step_block, decoding stretches from raw words, follows the scalar
+    block_step calls: after every stretch the value list and every field
+    of the generator state are theirs.  The entry state may keep a
+    32-bit half."""
+    sampler, fast, slow = _block_chains(case, seed, skip, kept)
+    for m in stretches:
+        step_block(fast, sampler, m)
+        _scalar_block(slow, sampler, m)
+        assert fast.values == slow.values
+        assert fast.step_count == slow.step_count
+        assert rng_fields(fast.rng) == rng_fields(slow.rng)
+
+
+@pytest.mark.parametrize("case, decoded", [
+    ("total 2^31+1", True), ("count 1855077841", True),
+    ("count 2^33", False)])
+def test_step_block_falls_back_step_by_step(case, decoded):
+    # rejected block or index draws fall back one step at a time, and
+    # the rest is decoded; a count of 2^33 always falls back
+    sampler, fast, slow = _block_chains(case, seed=3, skip=0, kept=False)
+    _scalar_block(slow, sampler, 200)
+    with mock.patch.object(chains, "block_step",
+                           wraps=chains.block_step) as scalar:
+        step_block(fast, sampler, 200)
+    assert 0 < scalar.call_count
+    assert (scalar.call_count < 150) == decoded
+    assert fast.values == slow.values
+    assert rng_fields(fast.rng) == rng_fields(slow.rng)
+
+
+def test_step_block_decodes_the_benchmark_graph_without_scalar_calls():
+    g = make_toroidal_hex(8, 8)
+    st = make_chain(g, 2, seed=1)
+    sampler = BlockSampler(g, hex_block_family(g), 2)
+    with mock.patch.object(chains, "block_step",
+                           side_effect=AssertionError("scalar call")):
+        step_block(st, sampler, 300)
+    assert st.step_count == 300
 
 
 def test_block_sampler_is_freed_without_the_cycle_collector(cycle4):
