@@ -271,7 +271,8 @@ class BlockSampler:
     A block the layered DP covers (enumeration.dp_shape) is counted and
     unranked by a FillingRanker from enumeration.filling_ranker, the
     process-wide table keyed by (shape, allowed value ranges) that the
-    blocks of every sampler share; heights.value_ranges reads the allowed
+    blocks of every sampler share with the scalar oracle
+    (enumeration.filling_stats); heights.value_ranges reads the allowed
     ranges straight from the values of each block vertex's external
     neighbours.  Per-layer ranker counters read filling_ranker.cache_info()
     (hits, misses, entries).  Other blocks draw from the enumerated

@@ -6,9 +6,11 @@ All counts and weights are exact Python integers; expected weights are
 Fractions.  One layered DP, FillingRanker, covers the block shapes used
 throughout (paths, cycles and 4-wide grid blocks): it counts a block's
 fillings, weighs them, and unranks one in the order of
-enumerate_fillings for the block chain.  Any other block falls back to
-brute-force enumeration under a configurable cap.  This scalar DP is the
-oracle for the vectorized table engines in :mod:`kheights.tables`.
+enumerate_fillings for the block chain.  Its one table, filling_ranker,
+serves the block chain, filling_stats and the case tables alike.  Any
+other block falls back to brute-force enumeration under a configurable
+cap.  This scalar DP is the oracle for the vectorized table engines in
+:mod:`kheights.tables`.
 """
 
 from __future__ import annotations
@@ -198,29 +200,36 @@ class FillingRanker:
 @lru_cache(maxsize=1024)
 def filling_ranker(shape: str, ranges: tuple[tuple[int, int], ...]
                    ) -> FillingRanker:
-    """The process-wide ranker table: FillingRanker(shape, ranges), built
-    once per distinct key.  A ranker depends on nothing else, so the
-    block samplers of every graph and k share it; cache_info() counts
-    its hits and misses.  Measured with tracemalloc, its links included,
-    a ranker of a block-chain block holds at most ~5.6 KB for a hex
-    6-cycle and ~50 KB for a 4x4 grid at any k (a grid vertex with
-    outside neighbours allows at most 3 values), so the 1024 entries
-    hold at most ~6 MB of cycles or ~51 MB of grids."""
+    """The process-wide ranker table: the one FillingRanker of each
+    distinct (shape, ranges) key, built on first use and the only place
+    a FillingRanker is built.  A ranker depends on nothing else, so the
+    block samplers of every graph and k, filling_stats and the case
+    tables' omega_block share it; cache_info() counts its hits and
+    misses.  Measured with tracemalloc in a fresh process, its links and
+    weight included (a warm process reads less: CPython's free lists
+    hand back tuples untraced), a ranker of a block-chain block holds at
+    most ~5.2 KiB for a hex 6-cycle and ~51 KiB for a 4x4 grid at any k
+    (a grid vertex with outside neighbours allows at most 3 values).
+    The oracle's keys are wider: an unpinned 4x4 grid, the widest, holds
+    ~18 KiB more per unit of k, at most 104 KiB at k=6.  So the 1024
+    entries hold at most ~5.2 MiB of chain cycles, ~51 MiB of chain grids
+    or 104 MiB of k=6 unpinned grids."""
     return FillingRanker(shape, ranges)
 
 
 def filling_stats(graph: Graph, block: Block,
                   constraint: BoundaryConstraint, k: int) -> FillingStats:
     """Exact count and total weight of admissible fillings of the block
-    under the boundary constraint: by the layered DP when the block's
-    internal edges are those of its declared shape (dp_shape), else by
-    enumerating them, refused past ENUMERATION_CAP raw assignments."""
+    under the boundary constraint: from the shared ranker table
+    (filling_ranker) when the block's internal edges are those of its
+    declared shape (dp_shape), else by enumerating them, refused past
+    ENUMERATION_CAP raw assignments."""
     ranges = constraint.allowed(graph, block, k)
     if any(lo > hi for lo, hi in ranges):
         return FillingStats(0, 0)
     shape = dp_shape(graph, block)
     if shape is not None:
-        ranker = FillingRanker(shape, ranges)
+        ranker = filling_ranker(shape, tuple(ranges))
         return FillingStats(ranker.count, ranker.weight)
     raw = 1
     for lo, hi in ranges:

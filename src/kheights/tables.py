@@ -34,8 +34,8 @@ from .divergence import DivergenceReport
 from .enumeration import (
     ENUMERATION_CAP,
     EnumerationCapError,
-    FillingRanker,
     count_rect_extensible,
+    filling_ranker,
     step_matrix,
 )
 from .graphs import CaseTag, Graph, case_slots
@@ -309,7 +309,7 @@ def case_divergence(tag: CaseTag, k: int) -> DivergenceReport:
     shape = "cycle" if tag.kind == "type1" else "path"
     return DivergenceReport(
         k=k, case_id=str(tag),
-        omega_block=FillingRanker(shape, [(0, k)] * d).count,
+        omega_block=filling_ranker(shape, ((0, k),) * d).count,
         # the boundary vertices are independent: one entry per assignment
         omega_boundary=cnt.size, e_max=e_max, witness=witness,
     )

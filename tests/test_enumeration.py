@@ -1,19 +1,24 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from kheights.chains import BlockSampler
 from kheights.enumeration import (
     FillingRanker,
     count_rect_extensible,
     enumerate_boundary_constraints,
     enumerate_fillings,
+    filling_ranker,
     filling_stats,
     step_matrix,
 )
-from kheights.graphs import Block, CaseTag, Graph, boundary, make_case_graph, make_toroidal_rect, rect_block_family
+from kheights.graphs import Block, BlockFamily, CaseTag, Graph, boundary, make_case_graph, make_toroidal_rect, rect_block_family
 from kheights.heights import BoundaryConstraint, enumerate_heights
+from kheights.tables import case_divergence
 
 
 def test_transfer_matrices_small():
@@ -151,6 +156,56 @@ def test_enumerate_boundary_constraints_valid_and_sorted(path3=None):
 def test_cycle_count_golden_hex_sequence():
     assert [FillingRanker("cycle", [(0, k)] * 6).count
             for k in (2, 3, 4, 5, 6)] == [199, 340, 481, 622, 763]
+
+
+def test_oracle_chain_and_case_tables_share_the_ranker_table():
+    """filling_stats and BlockSampler.ranked with one (shape, ranges) key
+    make one miss, then one hit; case_divergence's omega_block is read
+    from the same table."""
+    k, m = 3, 8
+    g = Graph.from_edges(m, [(i, i + 1) for i in range(m - 1)])
+    block = Block(tuple(range(1, m - 1)), shape="path")
+    values = [2] + [0] * (m - 2) + [1]
+    filling_ranker.cache_clear()
+    stats = filling_stats(g, block, BoundaryConstraint(((0, 2), (7, 1))), k)
+    info = filling_ranker.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
+    sampler = BlockSampler(g, BlockFamily((block,)), k)
+    count, _ = sampler.ranked(0, values)
+    info = filling_ranker.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    assert count == stats.count == len(sampler.fillings_for(0, values))
+    # past the case memo, which would answer without the table
+    rep = case_divergence.__wrapped__(CaseTag("type1", (1,), 6), 2)
+    info = filling_ranker.cache_info()
+    assert filling_ranker("cycle", ((0, 2),) * 6).count == rep.omega_block
+    assert filling_ranker.cache_info().hits == info.hits + 1
+
+
+def _reached_bytes(obj) -> int:
+    """sys.getsizeof summed over every object reachable from obj, the
+    cached small ints left out."""
+    seen, todo, total = set(), [obj], 0
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or (type(o) is int and -5 <= o <= 256):
+            continue
+        seen.add(id(o))
+        total += sys.getsizeof(o)
+        todo.extend(gc.get_referents(o))
+    return total
+
+
+def test_unpinned_grid_ranker_holds_the_stated_bound():
+    """The widest key the oracle brings, an unpinned 4x4 grid, at k=6
+    holds at most 104 KiB (filling_ranker's docstring) with its links
+    and weight.  Counted by walking the ranker's objects: tracemalloc
+    misses the tuples that CPython's free lists hand back in a warm
+    process."""
+    ranker = FillingRanker("grid", ((0, 6),) * 16)
+    assert ranker.weight == ranker.count * 16 * 3  # mean k/2 per vertex
+    held = _reached_bytes(vars(ranker)) + sys.getsizeof(ranker)
+    assert held <= 104 * 1024
 
 
 def test_matrix_power_object_exactness():
