@@ -28,6 +28,7 @@ from .chains import (
     decode_integers,
     make_rng,
     updown_apply,
+    updown_draws,
     updown_moves,
     updown_result,
 )
@@ -260,41 +261,91 @@ class CoupledState:
         return self.low == self.high
 
 
+#: accepted moves that coupled_updown_step makes with chains.updown_apply
+#: between two low == high checks: max(COUPLED_STRETCH,
+#: COUPLED_STRETCH_PER_VERTEX * n) on a graph of n vertices, so that the
+#: O(n) copy and compare at each check stays a fixed share of a stretch.
+#: Tests patch both to make stretches of a few moves.  On coalescence
+#: trials of rect:3x3 to rect:16x16 (2-core box, in-process, interleaved
+#: medians), floors of 16 to 128 moves and 1n to 4n were within 5% of
+#: this; without the n term, a stretch of rect:32x32 would copy and
+#: compare 3n entries every 64 moves.
+COUPLED_STRETCH = 64
+COUPLED_STRETCH_PER_VERTEX = 2
+
+
 def coupled_updown_step(coupled: CoupledState,
                         steps: int = 1) -> CoupledState:
     """Up to `steps` coupled up/down transitions with shared draws
     (chains.updown_draws, a chunk at a time from chains.updown_moves);
-    each side accepts by its own validity test.  Monotone in practice
-    (verified by tests).  Stops right after a step at which low == high;
-    unless that step ends its chunk, the generator is then put back to
-    its state before the chunk and draws again the chunk's steps up to
-    that one, so it is left where the scalar draws of the steps made
-    leave it.  A one-step chunk can only meet at its end, so it saves
-    no state.  Chunks double from UPDOWN_MIN_CHUNK to UPDOWN_CHUNK
+    each side accepts by its own validity test.  Stops right after a
+    step at which low == high.
+
+    The step is monotone.  Where low[v] < high[v], one move of either
+    side keeps low[v] <= high[v].  Where low[v] == high[v] = x, a side
+    that can move forces the other's move: low can raise v only if no
+    neighbour of v in low sits at x - 1, and then none in high does, as
+    high's neighbours are at least low's, which are at least x; and high
+    can lower v only if none of its neighbours sits at x + 1, and then
+    none of low's does.  Equal sides stay equal, as they make the same
+    moves by the same rule.
+
+    So a chunk's accepted moves are made on each side with one
+    chains.updown_apply call a stretch (COUPLED_STRETCH), and the sides
+    are compared after each stretch: they first meet inside the first
+    stretch after which they agree.  That stretch alone is made again,
+    from copies taken at its entry, move by move with
+    chains.updown_result to find the meeting step.  Unless that step
+    ends its chunk, the generator is then put back to its state before
+    the chunk and draws again the chunk's steps up to that one, so it is
+    left where the scalar draws of the steps made leave it.  The first
+    chunk has sum(high - low) steps (at least UPDOWN_MIN_CHUNK, at most
+    UPDOWN_CHUNK): a step changes one vertex's gap by at most 1, so the
+    sides cannot meet sooner.  Chunks then double up to UPDOWN_CHUNK
     steps, so a pair that meets early decodes few draws past its
-    meeting."""
+    meeting.  A one-step call and a pair that has met make one step
+    with the per-move rule and no chunk."""
     low, high, k = coupled.low, coupled.high, coupled.k
     adj, n, rng = coupled.graph.adjacency(), coupled.graph.n, coupled.rng
-    differ = sum(a != b for a, b in zip(low, high))
-    done, size = 0, UPDOWN_MIN_CHUNK
-    while done < steps:
-        m = min(size, steps - done) if differ else 1
-        size = min(2 * size, UPDOWN_CHUNK)
-        entry = rng.bit_generator.state if m > 1 else None
-        for j, v, delta in zip(*updown_moves(rng, n, m)):
-            was = low[v] != high[v]
+    if steps < 1:
+        return coupled
+    if steps == 1 or low == high:
+        v, delta, move = updown_draws(rng, n)
+        if move:
             updown_result(low, adj, k, v, delta)
             updown_result(high, adj, k, v, delta)
-            differ += (low[v] != high[v]) - was
-            if not differ:
-                if j + 1 < m:
-                    m = j + 1
-                    rng.bit_generator.state = entry
-                    updown_moves(rng, n, m)
-                break
+        coupled.step_count += 1
+        return coupled
+    stretch = max(COUPLED_STRETCH, COUPLED_STRETCH_PER_VERTEX * n)
+    done = 0
+    size = min(UPDOWN_CHUNK, max(UPDOWN_MIN_CHUNK, sum(high) - sum(low)))
+    while done < steps:
+        m = min(size, steps - done)
+        size = min(2 * size, UPDOWN_CHUNK)
+        entry = rng.bit_generator.state
+        js, vs, ds = updown_moves(rng, n, m)
+        for a in range(0, len(vs), stretch):
+            sv, sd = vs[a:a + stretch], ds[a:a + stretch]
+            low_entry, high_entry = low[:], high[:]
+            updown_apply(low, adj, k, sv, sd)
+            updown_apply(high, adj, k, sv, sd)
+            if low != high:
+                continue
+            low[:], high[:] = low_entry, high_entry
+            differ = sum(x != y for x, y in zip(low, high))
+            for j, v, delta in zip(js[a:a + stretch], sv, sd):
+                was = low[v] != high[v]
+                updown_result(low, adj, k, v, delta)
+                updown_result(high, adj, k, v, delta)
+                differ += (low[v] != high[v]) - was
+                if not differ:
+                    break
+            if j + 1 < m:
+                rng.bit_generator.state = entry
+                updown_moves(rng, n, j + 1)
+            coupled.step_count += done + j + 1
+            return coupled
         done += m
-        if not differ:
-            break
     coupled.step_count += done
     return coupled
 

@@ -122,8 +122,10 @@ def value_ranges(values, nbr_lists, k: int) -> list[tuple[int, int]]:
         lo, hi = 0, k
         for u in nbrs:
             x = values[u]
-            lo = max(lo, x - 1)
-            hi = min(hi, x + 1)
+            if x - 1 > lo:
+                lo = x - 1
+            if x + 1 < hi:
+                hi = x + 1
         out.append((lo, hi))
     return out
 
@@ -152,8 +154,10 @@ def assignments(ranges, earlier):
         lo, hi = ranges[i]
         for j in earlier[i]:
             x = vec[j]
-            lo = max(lo, x - 1)
-            hi = min(hi, x + 1)
+            if x - 1 > lo:
+                lo = x - 1
+            if x + 1 < hi:
+                hi = x + 1
         for x in range(lo, hi + 1):
             vec[i] = x
             yield from rec(i + 1)

@@ -5,7 +5,7 @@ import weakref
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from unittest import mock
 
 import numpy as np
@@ -504,6 +504,112 @@ def test_chunked_coupled_step_matches_scalar(g, k, seed, chunk, least,
                 assert (fast.low, fast.high) == (slow.low, slow.high)
                 assert fast.step_count == slow.step_count
                 assert rng_fields(fast.rng) == rng_fields(slow.rng)
+
+
+def _scalar_steps(st, steps):
+    """The scalar steps of one coupled_updown_step(st, steps) call: at
+    most `steps`, stopping right after the step at which the sides
+    meet, and one step for a pair that has met."""
+    for _ in range(steps):
+        _scalar_coupled_step(st)
+        if st.coalesced:
+            break
+
+
+def test_stretch_boundaries_match_scalar():
+    """With stretches of 1, 2 and 3 moves, coupled steps follow the
+    scalar ones byte for byte, generator fields included, wherever the
+    meeting falls: on a stretch's first or last move, on a chunk's last
+    step (no rewind), in a first chunk sized by the distance, and for
+    pairs that met at entry."""
+    seen = Counter()
+    graphs = small_graphs() + [make_toroidal_rect(3, 3)]
+    moves = mock.patch.object(coupling, "updown_moves",
+                              wraps=chains.updown_moves)
+    rule = mock.patch.object(coupling, "updown_result",
+                             wraps=chains.updown_result)
+    for stretch in (1, 2, 3):
+        with mock.patch.object(coupling, "COUPLED_STRETCH", stretch), \
+                mock.patch.object(coupling, "COUPLED_STRETCH_PER_VERTEX", 0), \
+                moves as drawn, rule as ruled:
+            for g, k, seed in product(graphs, (1, 2, 3), range(4)):
+                fast, slow = (CoupledState(low=KHeight.constant(g, k, 0),
+                                           high=KHeight.constant(g, k, k),
+                                           rng=make_rng(seed))
+                              for _ in range(2))
+                pieces = random.Random(seed).choices((2, 3, 5, 40, 300), k=12)
+                for steps in pieces:
+                    met = fast.coalesced
+                    distance = sum(fast.high) - sum(fast.low)
+                    before = fast.step_count
+                    drawn.reset_mock()
+                    ruled.reset_mock()
+                    coupled_updown_step(fast, steps)
+                    _scalar_steps(slow, steps)
+                    assert (fast.low, fast.high) == (slow.low, slow.high)
+                    assert fast.step_count == slow.step_count
+                    assert rng_fields(fast.rng) == rng_fields(slow.rng)
+                    if met:
+                        seen["met at entry"] += 1
+                        continue
+                    sizes = [c.args[2] for c in drawn.call_args_list]
+                    if distance > chains.UPDOWN_MIN_CHUNK and steps > distance:
+                        assert sizes[0] == min(distance, chains.UPDOWN_CHUNK)
+                        seen["first chunk sized by the distance"] += 1
+                    if not fast.coalesced:
+                        assert ruled.call_count == 0
+                        continue
+                    replayed = ruled.call_count // 2
+                    assert 1 <= replayed <= stretch
+                    if stretch > 1:
+                        seen[f"first move of {stretch}"] += replayed == 1
+                        seen[f"last move of {stretch}"] += replayed == stretch
+                    # no rewind: the steps drawn are the steps made
+                    seen["last step of a chunk"] += (
+                        sum(sizes) == fast.step_count - before)
+    assert set(seen) == {
+        "met at entry", "first chunk sized by the distance",
+        "first move of 2", "last move of 2", "first move of 3",
+        "last move of 3", "last step of a chunk"}
+    assert all(seen.values()), seen
+
+
+def test_coupled_trial_makes_its_moves_with_updown_apply():
+    """One coalescing rect:6x6 trial calls updown_result only to replay
+    the stretch in which the sides meet, at least once and at most twice
+    a stretch, and updown_apply makes every other move."""
+    g, k, seed = make_toroidal_rect(6, 6), 2, 3
+    stretch = max(coupling.COUPLED_STRETCH,
+                  coupling.COUPLED_STRETCH_PER_VERTEX * g.n)
+
+    def start():
+        return CoupledState(low=KHeight.constant(g, k, 0),
+                            high=KHeight.constant(g, k, k),
+                            rng=make_rng(seed))
+
+    slow, accepted = start(), 0
+    while not slow.coalesced:
+        v, delta, move = updown_draws(slow.rng, g.n)
+        accepted += move
+        if move:
+            updown_result(slow.low, g.adjacency(), k, v, delta)
+            updown_result(slow.high, g.adjacency(), k, v, delta)
+        slow.step_count += 1
+    fast = start()
+    with mock.patch.object(coupling, "updown_result",
+                           wraps=chains.updown_result) as ruled, \
+            mock.patch.object(coupling, "updown_apply",
+                              wraps=chains.updown_apply) as applied:
+        coupled_updown_step(fast, 10 ** 6)
+    assert fast.coalesced and fast.step_count == slow.step_count
+    assert accepted > 2 * stretch
+    assert 1 <= ruled.call_count <= 2 * stretch
+    # updown_apply made each side's moves up to the meeting stretch and
+    # that whole stretch, whose moves up to the meeting were replayed
+    applied_moves = sum(len(c.args[3]) for c in applied.call_args_list)
+    replayed = ruled.call_count // 2
+    whole = applied_moves // 2 - (accepted - replayed)
+    assert replayed <= whole <= stretch
 
 
 def test_coalescence_cap_is_exact(monkeypatch):

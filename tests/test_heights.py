@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kheights.graphs import Block, Graph
@@ -14,6 +14,7 @@ from kheights.heights import (
     enumerate_cover_pairs,
     enumerate_heights,
     is_valid,
+    value_ranges,
 )
 
 from conftest import small_graphs
@@ -113,6 +114,35 @@ def test_assignments_match_filtered_product(data):
     want = [x for x in product(*(range(lo, hi + 1) for lo, hi in ranges))
             if all(abs(x[pos[u]] - x[pos[v]]) <= 1 for u, v in g.edges)]
     assert list(assignments(ranges, earlier_neighbours(g, order))) == want
+
+
+def _value_ranges_reference(values, nbr_lists, k):
+    out = []
+    for nbrs in nbr_lists:
+        lo, hi = 0, k
+        for u in nbrs:
+            lo = max(lo, values[u] - 1)
+            hi = min(hi, values[u] + 1)
+        out.append((lo, hi))
+    return out
+
+
+@given(k=st.integers(0, 4),
+       values=st.lists(st.integers(-1, 6), min_size=1, max_size=6),
+       picks=st.lists(st.lists(st.integers(0, 5), max_size=4), max_size=5),
+       as_dict=st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(k=2, values=[0], picks=[[]], as_dict=False)
+@example(k=2, values=[0, 3], picks=[[0, 1], []], as_dict=True)
+@example(k=0, values=[2], picks=[[0]], as_dict=False)
+def test_value_ranges_match_max_min(k, values, picks, as_dict):
+    """value_ranges is the max/min narrowing of [0, k], on a state list
+    or a dict of pinned values: an empty list keeps (0, k), and a range
+    that no value satisfies stays empty (lo > hi)."""
+    nbr_lists = [[u % len(values) for u in nbrs] for nbrs in picks]
+    source = dict(enumerate(values)) if as_dict else values
+    assert (value_ranges(source, nbr_lists, k)
+            == _value_ranges_reference(values, nbr_lists, k))
 
 
 def test_enumerate_cover_pairs_consistency(cycle4):
