@@ -33,7 +33,7 @@ from ._golden import (
     REGULAR_PUBLISHED_BOUND,
     REGULAR_PUBLISHED_C,
 )
-from .tables import hex_divergence, rect_divergence, regular_aggregates
+from .tables import hex_divergence, rect_max, regular_aggregates
 
 #: (b, m, m_check, s) per family; the regular families share one geometry:
 #: 8-fold face blocks plus face windows give 24 blocks through each vertex
@@ -140,8 +140,8 @@ def family_report(family: str, k: int) -> dict:
               "m_check": m_check, "s": s}
     grid = family in ("rect", "hex")
     if grid:
-        rep = rect_divergence(k) if family == "rect" else hex_divergence(k)
-        e_max = report["e_max"] = rep.e_max
+        e_max = report["e_max"] = (
+            rect_max(k) if family == "rect" else hex_divergence(k).e_max)
         aggregate = m_check - s * (e_max - 1)
     else:
         connectivity = {"regular2": "two", "regular3": "three",
@@ -154,15 +154,13 @@ def family_report(family: str, k: int) -> dict:
         report["c_exact"] = c_constant(b, m, k, denom)
 
     if grid:
-        pub_emax = (RECT_PUBLISHED_EMAX_BOUND if family == "rect"
-                    else HEX_PUBLISHED_EMAX_BOUND).get(k)
-        pub_denom = (RECT_PUBLISHED_DENOMINATOR if family == "rect"
-                     else HEX_PUBLISHED_DENOMINATOR).get(k)
-        pub_c = (RECT_PUBLISHED_C if family == "rect"
-                 else HEX_PUBLISHED_C).get(k)
+        published = {"rect": (RECT_PUBLISHED_EMAX_BOUND,
+                              RECT_PUBLISHED_DENOMINATOR, RECT_PUBLISHED_C),
+                     "hex": (HEX_PUBLISHED_EMAX_BOUND,
+                             HEX_PUBLISHED_DENOMINATOR, HEX_PUBLISHED_C)}
+        pub_emax, pub_denom, pub_c = (t.get(k) for t in published[family])
         if pub_emax is not None:
-            pe = Fraction(pub_emax)
-            pd = Fraction(pub_denom)
+            pe, pd = Fraction(pub_emax), Fraction(pub_denom)
             report["published"] = {
                 "e_max_bound": pe,
                 "e_max_bound_valid": pe >= e_max,

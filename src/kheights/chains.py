@@ -55,18 +55,16 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
 from .enumeration import (
     EnumerationCapError,
-    dp_shape,
+    block_structure,
     enumerate_fillings,
     filling_ranker,
 )
-from .graphs import BlockFamily, Graph, boundary
+from .graphs import BlockFamily, Graph
 from .heights import (
     BoundaryConstraint,
     KHeight,
@@ -230,67 +228,30 @@ FILLINGS_CACHE_SIZE = 4096
 JOINT_MEMO_ENTRIES = 1 << 20
 
 
-class BlockStructure(NamedTuple):
-    """What a BlockSampler reads of its graph and family, per block in
-    family order: the sorted boundary, each vertex's outside neighbours
-    and enumeration.dp_shape; and the cumulative multiplicities."""
-
-    bdry: tuple
-    outside: tuple
-    shape: tuple
-    cum: tuple
-
-
-@lru_cache(maxsize=1)
-def block_structure(graph: Graph, family: BlockFamily) -> BlockStructure:
-    """The BlockStructure of (graph, family), from a one-entry process-
-    wide table keyed by their content, so that the samplers of equal
-    graphs and families built apart (one per CLI op) share one.  The
-    entry holds the structure and its key, and no sampler.  Measured
-    with tracemalloc, the structure of rect:256x256 with its 4x4 blocks
-    takes 63 MiB (a sampler held 107 MiB of lists of the same before),
-    and the entry keeps that graph and family, 68 MiB, alive after its
-    last sampler; hex:8x8 takes 0.03 MiB."""
-    adj = graph.adjacency()
-    blocks = family.blocks
-    outside = []
-    for b in blocks:
-        inside = set(b.vertices)
-        outside.append(tuple(tuple(u for u in adj[v] if u not in inside)
-                             for v in b.vertices))
-    return BlockStructure(
-        tuple(tuple(sorted(boundary(graph, b))) for b in blocks),
-        tuple(outside),
-        tuple(dp_shape(graph, b) for b in blocks),
-        tuple(accumulate(b.multiplicity for b in blocks)))
-
-
 class BlockSampler:
     """Uniform sampling from the admissible fillings of a block.
 
-    A block the layered DP covers (enumeration.dp_shape) is counted and
-    unranked by a FillingRanker from enumeration.filling_ranker, the
-    process-wide table keyed by (shape, allowed value ranges) that the
-    blocks of every sampler share with the scalar oracle
-    (enumeration.filling_stats); heights.value_ranges reads the allowed
-    ranges straight from the values of each block vertex's external
-    neighbours.  Per-layer ranker counters read filling_ranker.cache_info()
-    (hits, misses, entries).  Other blocks draw from the enumerated
-    filling list, which fillings_for serves with a per-sampler cache of
+    The boundaries, outside-neighbour lists, dp_shapes and cumulative
+    multiplicities are enumeration.block_structure of the family's
+    blocks, which the samplers of equal graphs share.  A block the
+    layered DP covers is counted and unranked by the FillingRanker of
+    its allowed value ranges (heights.value_ranges of its outside
+    neighbours' values) from enumeration.filling_ranker, the process-
+    wide table it shares with the scalar oracle; cache_info() counts its
+    hits and misses.  Other blocks draw from the enumerated filling
+    list, which fillings_for serves from a per-sampler cache of
     FILLINGS_CACHE_SIZE entries keyed by (block index, boundary values);
     the coupled step and the exact transition matrix read that list for
     every block.  The cache wraps a closure that does not hold the
     sampler, so a dropped sampler is freed at once, not at the next full
-    collection.  joint memoises the coupled step's joints.  The
-    boundaries, outside lists, shapes and multiplicities come from
-    block_structure, which the samplers of equal graphs share.
+    collection.  joint memoises the coupled step's joints.
     """
 
     def __init__(self, graph: Graph, family: BlockFamily, k: int):
         self.graph = graph
         self.family = family
         self.k = k
-        self.structure = structure = block_structure(graph, family)
+        self.structure = structure = block_structure(graph, family.blocks)
         self._bdry, self._outside, self._shape, self._cum = structure
         blocks, bdry = family.blocks, self._bdry
 

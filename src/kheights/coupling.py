@@ -22,7 +22,6 @@ from scipy.sparse.csgraph import maximum_flow
 
 from .chains import (
     UPDOWN_CHUNK,
-    UPDOWN_MIN_CHUNK,
     BlockSampler,
     decode_at_most_half,
     decode_integers,
@@ -299,12 +298,12 @@ def coupled_updown_step(coupled: CoupledState,
     ends its chunk, the generator is then put back to its state before
     the chunk and draws again the chunk's steps up to that one, so it is
     left where the scalar draws of the steps made leave it.  The first
-    chunk has sum(high - low) steps (at least UPDOWN_MIN_CHUNK, at most
-    UPDOWN_CHUNK): a step changes one vertex's gap by at most 1, so the
-    sides cannot meet sooner.  Chunks then double up to UPDOWN_CHUNK
-    steps, so a pair that meets early decodes few draws past its
-    meeting.  A one-step call and a pair that has met make one step
-    with the per-move rule and no chunk."""
+    chunk has sum(high - low) steps, at most UPDOWN_CHUNK: a step
+    changes one vertex's gap by at most 1, so the sides cannot meet
+    sooner.  Chunks then double up to UPDOWN_CHUNK steps, so a pair
+    that meets early decodes few draws past its meeting.  A one-step
+    call and a pair that has met make one step with the per-move rule
+    and no chunk."""
     low, high, k = coupled.low, coupled.high, coupled.k
     adj, n, rng = coupled.graph.adjacency(), coupled.graph.n, coupled.rng
     if steps < 1:
@@ -318,7 +317,7 @@ def coupled_updown_step(coupled: CoupledState,
         return coupled
     stretch = max(COUPLED_STRETCH, COUPLED_STRETCH_PER_VERTEX * n)
     done = 0
-    size = min(UPDOWN_CHUNK, max(UPDOWN_MIN_CHUNK, sum(high) - sum(low)))
+    size = min(UPDOWN_CHUNK, sum(high) - sum(low))
     while done < steps:
         m = min(size, steps - done)
         size = min(2 * size, UPDOWN_CHUNK)

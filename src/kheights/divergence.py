@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .enumeration import enumerate_boundary_constraints, filling_stats
-from .graphs import Block, Graph, boundary
+from .enumeration import block_structure, filling_stats
+from .graphs import Block, Graph
 from .heights import (
     BoundaryConstraint,
     assignments,
@@ -36,7 +36,7 @@ def expected_gap(graph: Graph, block: Block, low: BoundaryConstraint,
     """E[w | high] - E[w | low] for a cover pair of boundary constraints."""
     s_lo = filling_stats(graph, block, low, k)
     s_hi = filling_stats(graph, block, high, k)
-    if not s_lo.extensible or not s_hi.extensible:
+    if not (s_lo.count and s_hi.count):
         raise NonExtensibleError("cover pair has a non-extensible side")
     return s_hi.expected_weight - s_lo.expected_weight
 
@@ -60,11 +60,11 @@ def iter_cover_pairs(graph: Graph, block: Block, v: int, k: int):
     in lexicographic order of (rest assignment, pivot value): for each
     valid assignment of the rest of the boundary, each pair x, x + 1 in
     the range that its boundary neighbours leave the pivot."""
-    bdry = sorted(boundary(graph, block))
+    (bdry,) = block_structure(graph, (block,)).bdry
     if v not in bdry:
         raise ValueError("pivot vertex is not on the block boundary")
     at = bdry.index(v)
-    earlier = earlier_neighbours(graph, bdry[:at] + bdry[at + 1:] + [v])
+    earlier = earlier_neighbours(graph, bdry[:at] + bdry[at + 1:] + (v,))
     for env in assignments([(0, k)] * (len(bdry) - 1), earlier[:-1]):
         (lo, hi), = value_ranges(env, earlier[-1:], k)
         pinned = [tuple(zip(bdry, env[:at] + (x,) + env[at:]))
@@ -82,27 +82,21 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     cover pair exists, and the divergence is 0 with no witness, as in
     tables.case_divergence.
     """
-    empty = BoundaryConstraint(())
-    omega_block = filling_stats(graph, block, empty, k).count
-    bdry = sorted(boundary(graph, block))
-    if not any(earlier_neighbours(graph, bdry)):
-        omega_boundary = (k + 1) ** len(bdry)
-    else:
-        omega_boundary = sum(
-            1 for _ in enumerate_boundary_constraints(graph, block, k))
+    omega_block = filling_stats(graph, block, BoundaryConstraint(()), k).count
+    (bdry,) = block_structure(graph, (block,)).bdry
+    # valid boundary assignments; an independent boundary takes them all
+    earlier = earlier_neighbours(graph, bdry)
+    omega_boundary = (k + 1) ** len(bdry) if not any(earlier) else sum(
+        1 for _ in assignments([(0, k)] * len(bdry), earlier))
     best: Fraction | None = None if k else Fraction(0)
     witness = None
     for lo, hi in iter_cover_pairs(graph, block, v, k):
-        s_lo = filling_stats(graph, block, lo, k)
-        if not s_lo.extensible:
+        try:
+            gap = expected_gap(graph, block, lo, hi, k)
+        except NonExtensibleError:
             continue
-        s_hi = filling_stats(graph, block, hi, k)
-        if not s_hi.extensible:
-            continue
-        gap = s_hi.expected_weight - s_lo.expected_weight
         if best is None or gap > best:
-            best = gap
-            witness = (lo, v)
+            best, witness = gap, (lo, v)
     if best is None:
         raise NonExtensibleError("no extensible cover pair at this pivot")
     return DivergenceReport(

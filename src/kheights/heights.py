@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Block, Graph
+from .graphs import Graph
 
 
 def is_valid(graph: Graph, values, k: int) -> bool:
@@ -72,24 +72,15 @@ class KHeight:
 class BoundaryConstraint:
     """Fixed values on the boundary vertices of a block.
 
-    values maps boundary vertex -> value.  A filling of the block is
-    compatible when every block/boundary edge still has value gap <= 1.
+    values maps boundary vertex -> value; the filling engines refuse a
+    pin on a block vertex.  A filling of the block is compatible when
+    every block/boundary edge still has value gap <= 1.
     """
 
     values: tuple[tuple[int, int], ...]
 
     def as_dict(self) -> dict[int, int]:
         return dict(self.values)
-
-    def allowed(self, graph: Graph, block: Block,
-                k: int) -> list[tuple[int, int]]:
-        """Per block vertex (in block order), the inclusive (lo, hi) range
-        of values permitted by the pinned neighbours (see value_ranges);
-        lo > hi when none is."""
-        fixed = self.as_dict()
-        adj = graph.adjacency()
-        pins = [[u for u in adj[bv] if u in fixed] for bv in block.vertices]
-        return value_ranges(fixed, pins, k)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,12 @@ from fractions import Fraction
 from .chains import updown_result
 from .coupling import cftp_sample, expected_coupled_updown_distance, strassen_joint
 from .divergence import expected_gap
-from .enumeration import count_rect_extensible, enumerate_fillings
-from .graphs import CaseTag, Graph, boundary, make_case_graph
+from .enumeration import (
+    block_structure,
+    count_rect_extensible,
+    enumerate_fillings,
+)
+from .graphs import CaseTag, Graph, make_case_graph
 from .heights import BoundaryConstraint, KHeight, enumerate_heights
 from .tables import hex_divergence
 
@@ -52,7 +56,7 @@ def _check_hex_row() -> tuple[bool, str]:
 def _check_dominance_flows() -> tuple[bool, str]:
     g, block, v = make_case_graph(CaseTag("type1", (1,), 6))
     k = 2
-    bdry = sorted(boundary(g, block))
+    (bdry,) = block_structure(g, (block,)).bdry
     rnd = random.Random(1)
     tried = 0
     for _ in range(200):

@@ -534,6 +534,30 @@ def test_step_block_falls_back_step_by_step(case, decoded):
     assert rng_fields(fast.rng) == rng_fields(slow.rng)
 
 
+@pytest.mark.parametrize("multiplicity", [2 ** 31, 2 ** 32])
+def test_total_past_32_bits_goes_step_by_step(multiplicity):
+    """A family whose total multiplicity is 2^32 or more decodes no
+    stretch: block_stretch makes no step and leaves the generator alone,
+    and step_block makes every step through block_step.  At 2^33 numpy
+    draws the block from a whole 64-bit word; at 2^32 from one 32-bit
+    draw, which is where the guard alone keeps the stretch scalar."""
+    path3 = Graph.from_edges(3, [(0, 1), (1, 2)])
+    family = BlockFamily((Block((0, 1), multiplicity, "path"),
+                          Block((2,), multiplicity, "path")))
+    sampler = BlockSampler(path3, family, 2)
+    fast, slow = make_chain(path3, 2, seed=6), make_chain(path3, 2, seed=6)
+    entry = rng_fields(fast.rng)
+    assert chains.block_stretch(fast.values, sampler, fast.rng, 10) == 0
+    assert rng_fields(fast.rng) == entry
+    _scalar_block(slow, sampler, 100)
+    with mock.patch.object(chains, "block_step",
+                           wraps=chains.block_step) as scalar:
+        step_block(fast, sampler, 100)
+    assert scalar.call_count == 100
+    assert fast.values == slow.values
+    assert rng_fields(fast.rng) == rng_fields(slow.rng)
+
+
 def test_step_block_decodes_the_benchmark_graph_without_scalar_calls():
     g = make_toroidal_hex(8, 8)
     st = make_chain(g, 2, seed=1)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from kheights import __version__, chains, cli, coupling, graphs, tables
+from kheights import (__version__, _golden, chains, cli, coupling, graphs,
+                      tables)
 from kheights.cli import _ramp, main, parse_case, parse_graph
 from kheights.enumeration import ENUMERATION_CAP
 from kheights.graphs import CaseTag, make_toroidal_rect
@@ -72,6 +73,14 @@ def test_tables_case_table_mismatch():
                  "--case", "1_3[1]"]) == 3
 
 
+def test_tables_golden_mismatch_exits_2(monkeypatch, capsys):
+    monkeypatch.setitem(_golden.HEX_ROWS, 2, (200, 729, "0.798658"))
+    assert main(["tables", "--id", "hex", "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "2,hex,199,729,0.798658" in captured.out
+    assert captured.err.startswith("MISMATCH: hex k=2: got (199, 729, ")
+
+
 def test_tables_cap_exit():
     assert main(["tables", "--id", "hex", "--k", "99"]) == 4
     # hex k=20 carries a 21^6-entry frontier per first value, past
@@ -88,9 +97,11 @@ def test_rect_live_tensor_charge(capsys):
     # k=6 (t=149) runs and k=7 (t=176) is the first refused k
     live = tables.FRONTIER_LIVE_TENSORS["rect"]
     assert live * 149 ** 3 <= ENUMERATION_CAP < live * 176 ** 3
-    assert main(["divergence", "--family", "rect", "--k", "7"]) == 4
-    assert f"{live} frontier tensors of {176 ** 3} entries" in (
-        capsys.readouterr().err)
+    for argv in (["divergence", "--family", "rect"],
+                 ["bound", "--family", "rect"]):
+        assert main(argv + ["--k", "7"]) == 4
+        assert f"{live} frontier tensors of {176 ** 3} entries" in (
+            capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("argv", [["tables", "--id", "rect"],
@@ -272,6 +283,15 @@ def test_negative_k_exits_3(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
+
+
+def test_short_cycle_and_odd_hex_size_exit_3(capsys):
+    assert main(["run", "--chain", "updown", "--graph", "cycle:2", "--k",
+                 "1", "--steps", "1", "--seed", "0"]) == 3
+    assert "cycle needs n >= 3" in capsys.readouterr().err
+    assert main(["bound", "--family", "hex", "--k", "2",
+                 "--n", "1023"]) == 3
+    assert "hex graphs have an even vertex count" in capsys.readouterr().err
 
 
 def test_sample_negative_k_exits_3_before_drawing():
@@ -687,3 +707,24 @@ def test_verify_command(tmp_path):
     assert doc["passed"] is True
     assert {c["id"] for c in doc["checks"]} >= {
         "lattice_laws", "trace_counts", "dominance_flow_identity"}
+
+
+def test_verify_failed_check_exits_2(tmp_path, monkeypatch, capsys):
+    """A check that fails, or raises, fails the suite: exit 2, one
+    FAILED line per such check, and the crash's message as its detail."""
+    from kheights import verify
+
+    def crash():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "CHECKS", [
+        ("holds", lambda: (True, "ok")), ("fails", lambda: (False, "no")),
+        ("crashes", crash)])
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "FAILED: fails", "FAILED: crashes"]
+    doc = json.loads(out.read_text())
+    assert doc["passed"] is False
+    assert [c["detail"] for c in doc["checks"]] == [
+        "ok", "no", "RuntimeError: boom"]

@@ -490,7 +490,6 @@ def test_chunked_coupled_step_matches_scalar(g, k, seed, chunk, least,
 
     fast, slow = start(), start()
     with mock.patch.object(coupling, "UPDOWN_CHUNK", chunk), \
-            mock.patch.object(coupling, "UPDOWN_MIN_CHUNK", least), \
             mock.patch.object(chains, "UPDOWN_MIN_CHUNK", least):
         for m in pieces:
             for steps in (m, 1):
@@ -553,7 +552,7 @@ def test_stretch_boundaries_match_scalar():
                         seen["met at entry"] += 1
                         continue
                     sizes = [c.args[2] for c in drawn.call_args_list]
-                    if distance > chains.UPDOWN_MIN_CHUNK and steps > distance:
+                    if steps > distance:
                         assert sizes[0] == min(distance, chains.UPDOWN_CHUNK)
                         seen["first chunk sized by the distance"] += 1
                     if not fast.coalesced:

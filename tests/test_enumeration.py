@@ -2,13 +2,20 @@ import gc
 import random
 import sys
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from kheights import enumeration
 from kheights.chains import BlockSampler
+from kheights.divergence import block_divergence
 from kheights.enumeration import (
+    ENUMERATION_CAP,
+    EnumerationCapError,
     FillingRanker,
+    _shape_and_ranges,
+    block_structure,
     count_rect_extensible,
     enumerate_boundary_constraints,
     enumerate_fillings,
@@ -109,6 +116,64 @@ def test_grid_dp_matches_brute_force():
             c = BoundaryConstraint(tuple(vals))
             stats = filling_stats(g, block, c, k)
             assert (stats.count, stats.total_weight) == _brute(g, block, c, k)
+
+
+def test_boundary_constraint_ranges(path3):
+    """The (lo, hi) range a constraint leaves each block vertex, from
+    the pins on its outside neighbours; a pin elsewhere is ignored, and
+    lo > hi when no value is left."""
+    def ranges(block, pins, k):
+        return _shape_and_ranges(path3, block, BoundaryConstraint(pins), k)
+
+    middle = Block(vertices=(1,), shape="path")
+    assert ranges(middle, ((0, 2), (2, 0)), 2) == ("path", [(1, 1)])
+    assert ranges(middle, ((0, 0), (2, 2)), 2) == ("path", [(1, 1)])
+    assert ranges(middle, ((0, 0),), 2) == ("path", [(0, 1)])
+    # no value lies within 1 of both 0 and 3: lo > hi
+    empty = BoundaryConstraint(((0, 0), (2, 3)))
+    assert ranges(middle, empty.values, 3) == ("path", [(2, 1)])
+    assert enumerate_fillings(path3, middle, empty, 3) == []
+    assert filling_stats(path3, middle, empty, 3).count == 0
+    # vertex 2 is no neighbour of the block (0,)
+    assert ranges(Block((0,), shape="path"), ((1, 2), (2, 0)), 2) == (
+        "path", [(1, 2)])
+
+
+def test_constraint_pinning_a_block_vertex_is_refused(path3):
+    """A boundary constraint pins boundary vertices only: a pin on a
+    block vertex would narrow its block neighbours while the filling
+    ignored it, so both engines refuse it."""
+    block = Block((0, 1), shape="path")
+    pinned = BoundaryConstraint(((1, 0), (2, 2)))
+    for engine in (filling_stats, enumerate_fillings):
+        with pytest.raises(ValueError, match="pins a block vertex"):
+            engine(path3, block, pinned, 2)
+
+
+def test_oracle_reads_one_block_structure():
+    """The oracle works out a block's boundary, outside neighbours and
+    dp_shape once, in block_structure, not once per call."""
+    g, block, v = make_case_graph(CaseTag("type1", (1, 3), 6))
+    block_structure.cache_clear()
+    with mock.patch.object(enumeration, "dp_shape",
+                           wraps=enumeration.dp_shape) as shape, \
+            mock.patch.object(enumeration, "boundary",
+                              wraps=enumeration.boundary) as bdry:
+        rep = block_divergence(g, block, v, 2)
+    assert (shape.call_count, bdry.call_count) == (1, 1)
+    assert rep.e_max == case_divergence(CaseTag("type1", (1, 3), 6), 2).e_max
+
+
+def test_off_shape_block_past_the_cap_is_refused_before_enumerating():
+    # 14 unconstrained vertices of an edgeless block at k=3: 4^14 = 2^28
+    # raw assignments, past the cap of 2^26
+    g = Graph.from_edges(14, [])
+    block = Block(tuple(range(14)))
+    assert 4 ** 14 > ENUMERATION_CAP
+    with mock.patch.object(enumeration, "assignments",
+                           side_effect=AssertionError("enumerated")), \
+            pytest.raises(EnumerationCapError, match="raw assignments"):
+        filling_stats(g, block, BoundaryConstraint(()), 3)
 
 
 def test_unconstrained_hex_block_stats():

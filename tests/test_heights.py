@@ -4,9 +4,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kheights.graphs import Block, Graph
+from kheights.graphs import Graph
 from kheights.heights import (
-    BoundaryConstraint,
     CoverPair,
     KHeight,
     assignments,
@@ -154,17 +153,3 @@ def test_enumerate_cover_pairs_consistency(cycle4):
         assert all(a == b for i, (a, b) in enumerate(zip(lo, hi)) if i != v)
     # every comparable-by-one pair appears exactly once
     assert len(set(pairs)) == len(pairs)
-
-
-def test_boundary_constraint_allowed(path3):
-    block = Block(vertices=(1,), shape="path")
-    c = BoundaryConstraint(((0, 2), (2, 0)))
-    allowed = c.allowed(path3, block, 2)
-    assert allowed == [(1, 1)]
-    c2 = BoundaryConstraint(((0, 0), (2, 2)))
-    assert c2.allowed(path3, block, 2) == [(1, 1)]
-    c3 = BoundaryConstraint(((0, 0),))
-    assert c3.allowed(path3, block, 2) == [(0, 1)]
-    # no value lies within 1 of both 0 and 3: lo > hi
-    c4 = BoundaryConstraint(((0, 0), (2, 3)))
-    assert c4.allowed(path3, block, 3) == [(2, 1)]

@@ -102,6 +102,11 @@ def test_case_catalog_shapes():
     assert degrees == set(range(3, 11))
 
 
+def test_reproduce_table_unknown_id():
+    with pytest.raises(ValueError, match="unknown table id 'nope'"):
+        reproduce_table("nope", 2)
+
+
 def test_reproduce_table_k0_trivial():
     # the engines return 0 with no witness at k=0, and every row carries
     # its own id
