@@ -160,7 +160,8 @@ def family_report(family: str, k: int) -> dict:
                              HEX_PUBLISHED_DENOMINATOR, HEX_PUBLISHED_C)}
         pub_emax, pub_denom, pub_c = (t.get(k) for t in published[family])
         if pub_emax is not None:
-            pe, pd = Fraction(pub_emax), Fraction(pub_denom)
+            pe = Fraction(pub_emax)
+            pd = Fraction(pub_denom)
             report["published"] = {
                 "e_max_bound": pe,
                 "e_max_bound_valid": pe >= e_max,

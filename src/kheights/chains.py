@@ -441,7 +441,8 @@ def run(state: ChainState, steps: int, stepper, emit_every: int):
 
 
 def transition_matrix_updown(graph: Graph, k: int):
-    """Exact up/down transition matrix over Omega as Fractions."""
+    """Exact up/down transition matrix over Omega as Fractions, by the
+    move rule of updown_result."""
     states = list(enumerate_heights(graph, k))
     index = {s: i for i, s in enumerate(states)}
     n = graph.n
@@ -450,18 +451,12 @@ def transition_matrix_updown(graph: Graph, k: int):
     move = Fraction(1, 4 * n)  # one (v, delta) pair, p <= 1/2
     adj = graph.adjacency()
     for i, s in enumerate(states):
-        stay = Fraction(1)
+        T[i][i] += Fraction(1, 2)  # p > 1/2 holds
         for v in range(n):
             for delta in (-1, 1):
-                new = s[v] + delta
-                if 0 <= new <= k and all(
-                        abs(s[u] - new) <= 1 for u in adj[v]):
-                    t = list(s)
-                    t[v] = new
-                    j = index[tuple(t)]
-                    T[i][j] += move
-                    stay -= move
-        T[i][i] += stay
+                t = list(s)
+                updown_result(t, adj, k, v, delta)  # a refused move holds
+                T[i][index[tuple(t)]] += move
     return states, T
 
 

@@ -82,12 +82,15 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     cover pair exists, and the divergence is 0 with no witness, as in
     tables.case_divergence.
     """
-    omega_block = filling_stats(graph, block, BoundaryConstraint(()), k).count
+    empty = BoundaryConstraint(())
+    omega_block = filling_stats(graph, block, empty, k).count
     (bdry,) = block_structure(graph, (block,)).bdry
-    # valid boundary assignments; an independent boundary takes them all
     earlier = earlier_neighbours(graph, bdry)
-    omega_boundary = (k + 1) ** len(bdry) if not any(earlier) else sum(
-        1 for _ in assignments([(0, k)] * len(bdry), earlier))
+    if not any(earlier):  # an independent boundary takes every assignment
+        omega_boundary = (k + 1) ** len(bdry)
+    else:
+        omega_boundary = sum(
+            1 for _ in assignments([(0, k)] * len(bdry), earlier))
     best: Fraction | None = None if k else Fraction(0)
     witness = None
     for lo, hi in iter_cover_pairs(graph, block, v, k):
@@ -96,7 +99,8 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
         except NonExtensibleError:
             continue
         if best is None or gap > best:
-            best, witness = gap, (lo, v)
+            best = gap
+            witness = (lo, v)
     if best is None:
         raise NonExtensibleError("no extensible cover pair at this pivot")
     return DivergenceReport(

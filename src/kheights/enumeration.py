@@ -7,11 +7,10 @@ Fractions.  One layered DP, FillingRanker, covers the block shapes used
 throughout (paths, cycles and 4-wide grid blocks): it counts a block's
 fillings, weighs them, and unranks one in the order of
 enumerate_fillings for the block chain.  Its one table, filling_ranker,
-serves the block chain, filling_stats and the case tables alike; the
-block chain and the scalar oracle read a block's boundary, outside
-neighbours and shape from block_structure.  Any other block falls back
-to brute-force enumeration under a cap.  This scalar DP is the oracle
-for the vectorized table engines in :mod:`kheights.tables`.
+serves the block chain, filling_stats and the case tables alike.  Any
+other block falls back to brute-force enumeration under a configurable
+cap.  This scalar DP is the oracle for the vectorized table engines in
+:mod:`kheights.tables`.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import prod
 from typing import NamedTuple
 
@@ -29,7 +28,6 @@ from .graphs import (  # noqa: F401  (EnumerationCapError re-exported)
     Block,
     EnumerationCapError,
     Graph,
-    boundary,
 )
 from .heights import (
     BoundaryConstraint,
@@ -150,10 +148,10 @@ def block_structure(graph: Graph, blocks: tuple[Block, ...]
     by their content, the one place a block's boundary, outside
     neighbours and dp_shape are worked out: the block chain passes its
     family's blocks (the samplers of equal graphs built op by op share
-    one), the scalar oracle (block,).  Measured with tracemalloc, the
-    structure of rect:256x256's 4x4 blocks takes 63 MiB, and the entry
-    keeps that graph and family, 68 MiB, alive after its last sampler;
-    hex:8x8 takes 0.03 MiB."""
+    one), filling_stats and the boundary readers (block,).  Measured
+    with tracemalloc, the structure of rect:256x256's 4x4 blocks takes
+    63 MiB, and the entry keeps that graph and family, 68 MiB, alive
+    after its last sampler; hex:8x8 takes 0.03 MiB."""
     adj = graph.adjacency()
     outside = []
     for b in blocks:
@@ -161,7 +159,7 @@ def block_structure(graph: Graph, blocks: tuple[Block, ...]
         outside.append(tuple(tuple(u for u in adj[v] if u not in inside)
                              for v in b.vertices))
     return BlockStructure(
-        tuple(tuple(sorted(boundary(graph, b))) for b in blocks),
+        tuple(tuple(sorted(set(chain.from_iterable(o)))) for o in outside),
         tuple(outside),
         tuple(dp_shape(graph, b) for b in blocks),
         tuple(accumulate(b.multiplicity for b in blocks)))
@@ -257,18 +255,17 @@ def filling_ranker(shape: str, ranges: tuple[tuple[int, int], ...]
     return FillingRanker(shape, ranges)
 
 
-def _shape_and_ranges(graph: Graph, block: Block,
-                      constraint: BoundaryConstraint, k: int):
-    """The block's dp_shape and, per block vertex, the (lo, hi) range its
-    pinned outside neighbours leave it (value_ranges; lo > hi when none
-    is), from block_structure.  ValueError if a block vertex is pinned."""
-    (bdry,), (outside,), (shape,), _ = block_structure(graph, (block,))
+def _pinned_ranges(block: Block, constraint: BoundaryConstraint,
+                   nbr_lists, k: int) -> list[tuple[int, int]]:
+    """Per block vertex, the (lo, hi) range that its pinned neighbours in
+    nbr_lists (one list per block vertex) leave it: value_ranges, lo > hi
+    when none is.  ValueError if the constraint pins a block vertex."""
     fixed = constraint.as_dict()
     if not fixed.keys().isdisjoint(block.vertices):
         raise ValueError("a boundary constraint pins a block vertex")
-    if not all(map(fixed.__contains__, bdry)):  # a partly pinned boundary
-        outside = [[u for u in out if u in fixed] for out in outside]
-    return shape, value_ranges(fixed, outside, k)
+    if not all(map(fixed.__contains__, chain.from_iterable(nbr_lists))):
+        nbr_lists = [[u for u in nbrs if u in fixed] for nbrs in nbr_lists]
+    return value_ranges(fixed, nbr_lists, k)
 
 
 def filling_stats(graph: Graph, block: Block,
@@ -278,7 +275,8 @@ def filling_stats(graph: Graph, block: Block,
     (filling_ranker) when the block's internal edges are those of its
     declared shape (dp_shape), else by enumerating them, refused past
     ENUMERATION_CAP raw assignments."""
-    shape, ranges = _shape_and_ranges(graph, block, constraint, k)
+    _, (outside,), (shape,), _ = block_structure(graph, (block,))
+    ranges = _pinned_ranges(block, constraint, outside, k)
     if any(lo > hi for lo, hi in ranges):
         return FillingStats(0, 0)
     if shape is not None:
@@ -300,8 +298,11 @@ def filling_stats(graph: Graph, block: Block,
 def enumerate_fillings(graph: Graph, block: Block,
                        constraint: BoundaryConstraint, k: int):
     """All admissible fillings as tuples in block-vertex order,
-    lexicographic."""
-    _, ranges = _shape_and_ranges(graph, block, constraint, k)
+    lexicographic.  The block chain lists its fillings here, so the pins
+    are read off the adjacency: a block_structure lookup would evict it."""
+    adj = graph.adjacency()
+    ranges = _pinned_ranges(block, constraint,
+                            [adj[v] for v in block.vertices], k)
     return list(assignments(ranges,
                             earlier_neighbours(graph, block.vertices)))
 

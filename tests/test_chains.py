@@ -431,14 +431,18 @@ def test_ranker_table_is_shared_across_samplers():
 
 def test_block_structure_is_shared_by_equal_graphs():
     """Samplers of two separately parsed equal graphs, at any k, read one
-    structure object; the table holds one entry, so a sampler of another
-    graph evicts it and the next one of the first graph rebuilds it."""
+    structure object, also after the first has listed fillings (as the
+    coupled step does); the table holds one entry, so a sampler of
+    another graph evicts it and the next one of the first graph
+    rebuilds it."""
     from kheights.cli import parse_graph
 
     a, b, c = (parse_graph(spec) for spec in ("hex:8x8", "hex:8x8",
                                               "hex:4x4"))
     assert a is not b and a == b
-    first = BlockSampler(a, hex_block_family(a), 2).structure
+    sampler = BlockSampler(a, hex_block_family(a), 2)
+    first = sampler.structure
+    assert len(sampler.fillings_for(0, [0] * a.n)) == 2 ** 6  # 0s and 1s
     assert BlockSampler(b, hex_block_family(b), 3).structure is first
     assert first.bdry[0] == tuple(sorted(boundary(a, hex_block_family(
         a).blocks[0])))

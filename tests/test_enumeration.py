@@ -14,7 +14,7 @@ from kheights.enumeration import (
     ENUMERATION_CAP,
     EnumerationCapError,
     FillingRanker,
-    _shape_and_ranges,
+    _pinned_ranges,
     block_structure,
     count_rect_extensible,
     enumerate_boundary_constraints,
@@ -121,22 +121,30 @@ def test_grid_dp_matches_brute_force():
 def test_boundary_constraint_ranges(path3):
     """The (lo, hi) range a constraint leaves each block vertex, from
     the pins on its outside neighbours; a pin elsewhere is ignored, and
-    lo > hi when no value is left."""
+    lo > hi when no value is left.  filling_stats filters the block's
+    outside neighbours (block_structure), enumerate_fillings its
+    adjacency lists: both leave the same ranges."""
+    adj = path3.adjacency()
+
     def ranges(block, pins, k):
-        return _shape_and_ranges(path3, block, BoundaryConstraint(pins), k)
+        c = BoundaryConstraint(pins)
+        (outside,) = block_structure(path3, (block,)).outside
+        got = _pinned_ranges(block, c, outside, k)
+        assert _pinned_ranges(block, c, [adj[v] for v in block.vertices],
+                              k) == got
+        return got
 
     middle = Block(vertices=(1,), shape="path")
-    assert ranges(middle, ((0, 2), (2, 0)), 2) == ("path", [(1, 1)])
-    assert ranges(middle, ((0, 0), (2, 2)), 2) == ("path", [(1, 1)])
-    assert ranges(middle, ((0, 0),), 2) == ("path", [(0, 1)])
+    assert ranges(middle, ((0, 2), (2, 0)), 2) == [(1, 1)]
+    assert ranges(middle, ((0, 0), (2, 2)), 2) == [(1, 1)]
+    assert ranges(middle, ((0, 0),), 2) == [(0, 1)]
     # no value lies within 1 of both 0 and 3: lo > hi
     empty = BoundaryConstraint(((0, 0), (2, 3)))
-    assert ranges(middle, empty.values, 3) == ("path", [(2, 1)])
+    assert ranges(middle, empty.values, 3) == [(2, 1)]
     assert enumerate_fillings(path3, middle, empty, 3) == []
     assert filling_stats(path3, middle, empty, 3).count == 0
     # vertex 2 is no neighbour of the block (0,)
-    assert ranges(Block((0,), shape="path"), ((1, 2), (2, 0)), 2) == (
-        "path", [(1, 2)])
+    assert ranges(Block((0,), shape="path"), ((1, 2), (2, 0)), 2) == [(1, 2)]
 
 
 def test_constraint_pinning_a_block_vertex_is_refused(path3):
@@ -156,12 +164,12 @@ def test_oracle_reads_one_block_structure():
     g, block, v = make_case_graph(CaseTag("type1", (1, 3), 6))
     block_structure.cache_clear()
     with mock.patch.object(enumeration, "dp_shape",
-                           wraps=enumeration.dp_shape) as shape, \
-            mock.patch.object(enumeration, "boundary",
-                              wraps=enumeration.boundary) as bdry:
+                           wraps=enumeration.dp_shape) as shape:
         rep = block_divergence(g, block, v, 2)
-    assert (shape.call_count, bdry.call_count) == (1, 1)
+    assert shape.call_count == block_structure.cache_info().misses == 1
     assert rep.e_max == case_divergence(CaseTag("type1", (1, 3), 6), 2).e_max
+    (bdry,) = block_structure(g, (block,)).bdry
+    assert bdry == tuple(sorted(boundary(g, block)))
 
 
 def test_off_shape_block_past_the_cap_is_refused_before_enumerating():
