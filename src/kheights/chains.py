@@ -231,14 +231,14 @@ JOINT_MEMO_ENTRIES = 1 << 20
 class BlockSampler:
     """Uniform sampling from the admissible fillings of a block.
 
-    The boundaries, outside-neighbour lists, dp_shapes and cumulative
-    multiplicities are enumeration.block_structure of the family's
-    blocks, which the samplers of equal graphs share.  A block the
-    layered DP covers is counted and unranked by the FillingRanker of
-    its allowed value ranges (heights.value_ranges of its outside
-    neighbours' values) from enumeration.filling_ranker, the process-
-    wide table it shares with the scalar oracle; cache_info() counts its
-    hits and misses.  Other blocks draw from the enumerated filling
+    The boundaries, outside-neighbour lists and dp_shapes are
+    enumeration.block_structure of the family's blocks, which the
+    samplers of equal graphs share; the block draw reads family.cum.
+    A block the layered DP covers is counted and unranked by the
+    FillingRanker of its allowed value ranges (heights.value_ranges of
+    its outside neighbours' values) from enumeration.filling_ranker, the
+    process-wide table it shares with the scalar oracle; cache_info()
+    counts its hits and misses.  Other blocks draw from the enumerated filling
     list, which fillings_for serves from a per-sampler cache of
     FILLINGS_CACHE_SIZE entries keyed by (block index, boundary values);
     the coupled step and the exact transition matrix read that list for
@@ -252,7 +252,7 @@ class BlockSampler:
         self.family = family
         self.k = k
         self.structure = structure = block_structure(graph, family.blocks)
-        self._bdry, self._outside, self._shape, self._cum = structure
+        self._bdry, self._outside, self._shape = structure
         blocks, bdry = family.blocks, self._bdry
 
         def fillings(block_idx: int, bvals: tuple[int, ...]):
@@ -266,7 +266,7 @@ class BlockSampler:
 
     def pick_block(self, r: int) -> int:
         """Block index for a draw r uniform in [0, total multiplicity)."""
-        return bisect_right(self._cum, r)
+        return bisect_right(self.family.cum, r)
 
     def fillings_for(self, block_idx: int, values):
         """Admissible fillings of the block under the boundary values."""
@@ -353,7 +353,7 @@ def block_stretch(values: list[int], sampler: BlockSampler,
     high = entry["uinteger"]
     kept = high if entry["has_uint32"] else None
     i = r = 0
-    cum, ranked, apply = sampler.structure.cum, sampler.ranked, sampler.apply
+    cum, ranked, apply = sampler.family.cum, sampler.ranked, sampler.apply
     for j in range(m):
         at = i, kept, high
         if total > 1:

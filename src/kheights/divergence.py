@@ -85,12 +85,8 @@ def block_divergence(graph: Graph, block: Block, v: int, k: int,
     empty = BoundaryConstraint(())
     omega_block = filling_stats(graph, block, empty, k).count
     (bdry,) = block_structure(graph, (block,)).bdry
-    earlier = earlier_neighbours(graph, bdry)
-    if not any(earlier):  # an independent boundary takes every assignment
-        omega_boundary = (k + 1) ** len(bdry)
-    else:
-        omega_boundary = sum(
-            1 for _ in assignments([(0, k)] * len(bdry), earlier))
+    omega_boundary = sum(1 for _ in assignments(
+        [(0, k)] * len(bdry), earlier_neighbours(graph, bdry)))
     best: Fraction | None = None if k else Fraction(0)
     witness = None
     for lo, hi in iter_cover_pairs(graph, block, v, k):

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 from math import prod
 from typing import NamedTuple
 
@@ -86,14 +86,22 @@ class FillingStats:
         return Fraction(self.total_weight, self.count)
 
 
+def grid_rows(ranges) -> tuple[tuple[int, ...], ...]:
+    """The valid rows of a 4-wide grid whose cells take values in the
+    four inclusive (lo, hi) ranges, in lexicographic order: each cell
+    lies within 1 of the cell before it.  The ranker's grid layers and
+    the rect table's block rows and boundary paths are these."""
+    return tuple(assignments(ranges, ([], [0], [1], [2])))
+
+
 def _layers(shape: str, ranges) -> list[tuple[tuple[int, ...], ...]]:
     """The DP layers of a path or cycle (one 1-tuple state per value of
-    each vertex) or of a grid (the valid rows of each 4-wide row), each
-    in lexicographic order, so that concatenating one state per layer
-    lists fillings in the order of enumerate_fillings."""
+    each vertex) or of a grid (grid_rows of each 4-wide row), each in
+    lexicographic order, so that concatenating one state per layer lists
+    fillings in the order of enumerate_fillings.  A vertex with an empty
+    range (lo > hi) leaves an empty layer, and the ranker counts 0."""
     if shape == "grid":
-        # each cell of a row sits next to the cell before it
-        return [tuple(assignments(ranges[i: i + 4], ([], [0], [1], [2])))
+        return [grid_rows(ranges[i: i + 4])
                 for i in range(0, len(ranges), 4)]
     return [tuple((x,) for x in range(lo, hi + 1)) for lo, hi in ranges]
 
@@ -133,12 +141,11 @@ def dp_shape(graph: Graph, block: Block) -> str | None:
 class BlockStructure(NamedTuple):
     """What the filling engines read of a graph and its blocks, per block
     in order: the sorted boundary, each vertex's outside neighbours and
-    dp_shape; and the cumulative multiplicities."""
+    dp_shape."""
 
     bdry: tuple
     outside: tuple
     shape: tuple
-    cum: tuple
 
 
 @lru_cache(maxsize=1)
@@ -161,8 +168,7 @@ def block_structure(graph: Graph, blocks: tuple[Block, ...]
     return BlockStructure(
         tuple(tuple(sorted(set(chain.from_iterable(o)))) for o in outside),
         tuple(outside),
-        tuple(dp_shape(graph, b) for b in blocks),
-        tuple(accumulate(b.multiplicity for b in blocks)))
+        tuple(dp_shape(graph, b) for b in blocks))
 
 
 class FillingRanker:
@@ -263,9 +269,21 @@ def _pinned_ranges(block: Block, constraint: BoundaryConstraint,
     fixed = constraint.as_dict()
     if not fixed.keys().isdisjoint(block.vertices):
         raise ValueError("a boundary constraint pins a block vertex")
-    if not all(map(fixed.__contains__, chain.from_iterable(nbr_lists))):
-        nbr_lists = [[u for u in nbrs if u in fixed] for nbrs in nbr_lists]
-    return value_ranges(fixed, nbr_lists, k)
+    return value_ranges(
+        fixed, [[u for u in nbrs if u in fixed] for nbrs in nbr_lists], k)
+
+
+def _capped_fillings(graph: Graph, block: Block, ranges):
+    """heights.assignments of the block's vertices in ranges, refused
+    with EnumerationCapError before any is listed when the product of
+    the range widths (an empty range counts 0) passes ENUMERATION_CAP."""
+    raw = prod(max(0, hi - lo + 1) for lo, hi in ranges)
+    if raw > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{raw} raw assignments exceed cap {ENUMERATION_CAP}; "
+            "declare a DP shape or use counting operations"
+        )
+    return assignments(ranges, earlier_neighbours(graph, block.vertices))
 
 
 def filling_stats(graph: Graph, block: Block,
@@ -273,23 +291,15 @@ def filling_stats(graph: Graph, block: Block,
     """Exact count and total weight of admissible fillings of the block
     under the boundary constraint: from the shared ranker table
     (filling_ranker) when the block's internal edges are those of its
-    declared shape (dp_shape), else by enumerating them, refused past
-    ENUMERATION_CAP raw assignments."""
-    _, (outside,), (shape,), _ = block_structure(graph, (block,))
+    declared shape (dp_shape), else by enumerating them
+    (_capped_fillings)."""
+    _, (outside,), (shape,) = block_structure(graph, (block,))
     ranges = _pinned_ranges(block, constraint, outside, k)
-    if any(lo > hi for lo, hi in ranges):
-        return FillingStats(0, 0)
     if shape is not None:
         ranker = filling_ranker(shape, tuple(ranges))
         return FillingStats(ranker.count, ranker.weight)
-    raw = prod(hi - lo + 1 for lo, hi in ranges)
-    if raw > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{raw} raw assignments exceed cap {ENUMERATION_CAP}; "
-            "declare a DP shape or use counting operations"
-        )
     count = weight = 0
-    for vec in assignments(ranges, earlier_neighbours(graph, block.vertices)):
+    for vec in _capped_fillings(graph, block, ranges):
         count += 1
         weight += sum(vec)
     return FillingStats(count, weight)
@@ -298,13 +308,14 @@ def filling_stats(graph: Graph, block: Block,
 def enumerate_fillings(graph: Graph, block: Block,
                        constraint: BoundaryConstraint, k: int):
     """All admissible fillings as tuples in block-vertex order,
-    lexicographic.  The block chain lists its fillings here, so the pins
-    are read off the adjacency: a block_structure lookup would evict it."""
+    lexicographic, refused past the cap as filling_stats refuses them
+    (_capped_fillings).  The block chain lists its fillings here, so the
+    pins are read off the adjacency: a block_structure lookup would
+    evict it."""
     adj = graph.adjacency()
     ranges = _pinned_ranges(block, constraint,
                             [adj[v] for v in block.vertices], k)
-    return list(assignments(ranges,
-                            earlier_neighbours(graph, block.vertices)))
+    return list(_capped_fillings(graph, block, ranges))
 
 
 def enumerate_boundary_constraints(graph: Graph, block: Block, k: int):

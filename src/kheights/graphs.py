@@ -18,6 +18,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 
 class GraphError(ValueError):
@@ -168,6 +169,12 @@ class BlockFamily:
     @cached_property
     def total_count(self) -> int:
         return sum(b.multiplicity for b in self.blocks)
+
+    @cached_property
+    def cum(self) -> tuple[int, ...]:
+        """The running sums of the multiplicities: a block draw r picks
+        the first block i with r < cum[i]."""
+        return tuple(accumulate(b.multiplicity for b in self.blocks))
 
     def check_cover(self, graph: Graph) -> None:
         covered = set()

@@ -133,27 +133,34 @@ def earlier_neighbours(graph: Graph, order) -> list[list[int]]:
 def assignments(ranges, earlier):
     """Yield, in lexicographic order, every tuple x with lo_i <= x_i <=
     hi_i for ranges[i] = (lo_i, hi_i) and |x_i - x_j| <= 1 for each j in
-    earlier[i] (positions below i).  Depth-first: the range of x_i is
-    narrowed by the values already placed at its earlier neighbours."""
+    earlier[i] (positions below i).  Depth-first, in one loop: the range
+    of x_i is narrowed by the values already placed at its earlier
+    neighbours, and top[i] is the last value x_i takes."""
     n = len(ranges)
-    vec = [0] * n
-
-    def rec(i):
+    vec, top = [0] * n, [0] * n
+    i = 0
+    while i >= 0:
         if i == n:
             yield tuple(vec)
-            return
-        lo, hi = ranges[i]
-        for j in earlier[i]:
-            x = vec[j]
-            if x - 1 > lo:
-                lo = x - 1
-            if x + 1 < hi:
-                hi = x + 1
-        for x in range(lo, hi + 1):
-            vec[i] = x
-            yield from rec(i + 1)
-
-    return rec(0)
+        else:
+            lo, hi = ranges[i]
+            for j in earlier[i]:
+                x = vec[j]
+                if x - 1 > lo:
+                    lo = x - 1
+                if x + 1 < hi:
+                    hi = x + 1
+            if lo <= hi:
+                vec[i], top[i] = lo, hi
+                i += 1
+                continue
+        # back to the deepest earlier position with a value left
+        i -= 1
+        while i >= 0 and vec[i] == top[i]:
+            i -= 1
+        if i >= 0:
+            vec[i] += 1
+            i += 1
 
 
 def enumerate_heights(graph: Graph, k: int):

@@ -36,10 +36,11 @@ from .enumeration import (
     EnumerationCapError,
     count_rect_extensible,
     filling_ranker,
+    grid_rows,
     step_matrix,
 )
-from .graphs import CaseTag, Graph, case_slots
-from .heights import BoundaryConstraint, enumerate_heights
+from .graphs import CaseTag, case_slots
+from .heights import BoundaryConstraint
 
 # relative float margin below the running maximum within which candidates
 # are re-checked exactly
@@ -379,9 +380,7 @@ def rect_stat_tensors(k: int):
     t = prefixes[-1]
     side = (prefixes, range(4))
     _check_frontier(t, 4, [(1, [0]), side, side, (t, [3])], t, "rect")
-    # the valid 4-rows are the k-heights of a 4-vertex path
-    rows = np.array(list(enumerate_heights(
-        Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), k)))
+    rows = np.array(grid_rows([(0, k)] * 4))
     # V[s, r]: row r may sit below row s; pointwise |s_j - r_j| <= 1 is
     # also how the top and bottom boundary paths pin the outer rows
     V = step_matrix(rows, dtype=np.int64)

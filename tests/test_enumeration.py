@@ -14,6 +14,7 @@ from kheights.enumeration import (
     ENUMERATION_CAP,
     EnumerationCapError,
     FillingRanker,
+    FillingStats,
     _pinned_ranges,
     block_structure,
     count_rect_extensible,
@@ -174,14 +175,52 @@ def test_oracle_reads_one_block_structure():
 
 def test_off_shape_block_past_the_cap_is_refused_before_enumerating():
     # 14 unconstrained vertices of an edgeless block at k=3: 4^14 = 2^28
-    # raw assignments, past the cap of 2^26
+    # raw assignments, past the cap of 2^26; the oracle's count, the
+    # filling list and the block chain's ranked count refuse them alike
     g = Graph.from_edges(14, [])
     block = Block(tuple(range(14)))
+    empty = BoundaryConstraint(())
+    sampler = BlockSampler(g, BlockFamily((block,)), 3)
     assert 4 ** 14 > ENUMERATION_CAP
-    with mock.patch.object(enumeration, "assignments",
-                           side_effect=AssertionError("enumerated")), \
-            pytest.raises(EnumerationCapError, match="raw assignments"):
-        filling_stats(g, block, BoundaryConstraint(()), 3)
+    for call in (lambda: filling_stats(g, block, empty, 3),
+                 lambda: enumerate_fillings(g, block, empty, 3),
+                 lambda: sampler.ranked(0, [0] * 14)):
+        with mock.patch.object(enumeration, "assignments",
+                               side_effect=AssertionError("enumerated")), \
+                pytest.raises(EnumerationCapError, match="raw assignments"):
+            call()
+
+
+def test_empty_range_gives_no_filling():
+    """A constraint that leaves a block vertex no value (lo > hi) gives
+    no filling on every route: the ranker of a path, a cycle and a 4x4
+    grid block counts 0, and so does the listing of an off-shape block,
+    whose two empty ranges of width 3 - k each are counted 0 by the cap,
+    not multiplied past it."""
+    # vertex 1 of the path and vertex 0 of the cycle sit between two
+    # outside vertices pinned at 0 and 3
+    path = Graph.from_edges(5, [(0, 1), (1, 2), (3, 1), (4, 1)])
+    cycle = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 0),
+                                 (5, 0)])
+    cases = [(path, Block((0, 1, 2), shape="path"), ((3, 0), (4, 3)), 3),
+             (cycle, Block((0, 1, 2, 3), shape="cycle"), ((4, 0), (5, 3)),
+              3)]
+    # a corner of a 4x4 block has two outside neighbours: pin one at 3
+    # and the rest of the boundary at 0
+    grid = make_toroidal_rect(8, 8)
+    block = rect_block_family(grid).blocks[0]
+    (bdry,), (outside,), _ = block_structure(grid, (block,))
+    _, high = next(nbrs for nbrs in outside if len(nbrs) == 2)
+    cases.append((grid, block, tuple((u, 3 * (u == high)) for u in bdry), 3))
+    # two unlinked block vertices, each between pins 0 and k
+    k = 2 ** 13 + 4
+    assert (3 - k) ** 2 > ENUMERATION_CAP
+    square = Graph.from_edges(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
+    cases.append((square, Block((0, 1)), ((2, 0), (3, k)), k))
+    for g, block, pins, k in cases:
+        c = BoundaryConstraint(pins)
+        assert filling_stats(g, block, c, k) == FillingStats(0, 0)
+        assert enumerate_fillings(g, block, c, k) == []
 
 
 def test_unconstrained_hex_block_stats():

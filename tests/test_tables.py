@@ -485,16 +485,16 @@ def test_rect_charges_its_slices_before_listing_a_row(monkeypatch):
     # rect_stat_tensors makes one _check_frontier call, before it lists
     # the rows, with the closed-form row and prefix counts
     listed, charged = [], []
-    enumerate_heights = tables.enumerate_heights
+    grid_rows = tables.grid_rows
 
     def listing(*args):
         listed.append(args)
-        return enumerate_heights(*args)
+        return grid_rows(*args)
 
     def charge(*args):
         charged.append((args, len(listed)))
 
-    monkeypatch.setattr(tables, "enumerate_heights", listing)
+    monkeypatch.setattr(tables, "grid_rows", listing)
     monkeypatch.setattr(tables, "_check_frontier", charge)
     for k in range(13):
         listed.clear()
